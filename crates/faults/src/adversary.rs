@@ -364,15 +364,20 @@ impl fmt::Display for AdversaryPlan {
 /// resolved against one engine's initial directory, plus the per-epoch
 /// capture book-keeping for [`AttackStrategy::LeaderCapture`].
 ///
-/// Engines construct one at build time, consult [`Adversary::lie_at`] /
-/// [`Adversary::is_colluder`] at every cycle start, and report each epoch's
-/// elected leaders through [`Adversary::observe_leader`] (after
-/// [`Adversary::begin_epoch`] reset the capture set).
+/// Engines construct one at build time, hand it to [`crate::enter_cycle`]
+/// at every cycle start, and report each epoch's elected leaders through
+/// [`Adversary::observe_leader`] (after [`Adversary::begin_epoch`] reset the
+/// capture set).
 #[derive(Debug, Clone)]
 pub struct Adversary {
     plan: AdversaryPlan,
-    /// Colluding node identifiers, sorted for binary-search membership.
+    /// Colluding node identifiers in initial-directory position order — the
+    /// order every runtime applies the lie in, so trace events never depend
+    /// on an identifier layout (the sharded engine's ids embed the shard
+    /// count).
     colluders: Vec<NodeId>,
+    /// The same set sorted by identifier, for O(log n) membership tests.
+    sorted: Vec<NodeId>,
     /// The counting-instance leaders captured in the current epoch, in
     /// election order, at most `plan.capture_instances()`.
     captured: Vec<NodeId>,
@@ -383,16 +388,18 @@ impl Adversary {
     /// position `p` of `initial` colludes iff the pure coin
     /// [`AdversaryPlan::colludes_at`] fires for `(seed, p)`.
     pub fn new(plan: AdversaryPlan, seed: u64, initial: &[NodeId]) -> Self {
-        let mut colluders: Vec<NodeId> = initial
+        let colluders: Vec<NodeId> = initial
             .iter()
             .enumerate()
             .filter(|&(position, _)| plan.colludes_at(seed, position))
             .map(|(_, &id)| id)
             .collect();
-        colluders.sort_unstable();
+        let mut sorted = colluders.clone();
+        sorted.sort_unstable();
         Adversary {
             plan,
             colluders,
+            sorted,
             captured: Vec::new(),
         }
     }
@@ -402,6 +409,7 @@ impl Adversary {
         Adversary {
             plan: AdversaryPlan::none(),
             colluders: Vec::new(),
+            sorted: Vec::new(),
             captured: Vec::new(),
         }
     }
@@ -416,14 +424,14 @@ impl Adversary {
         self.plan.is_empty()
     }
 
-    /// The resolved colluding set, sorted by identifier.
+    /// The resolved colluding set, in initial-directory position order.
     pub fn colluders(&self) -> &[NodeId] {
         &self.colluders
     }
 
     /// Whether `id` belongs to the colluding set.
     pub fn is_colluder(&self, id: NodeId) -> bool {
-        self.colluders.binary_search(&id).is_ok()
+        self.sorted.binary_search(&id).is_ok()
     }
 
     /// The lie every colluder asserts at the start of `cycle` (see

@@ -1,12 +1,12 @@
-//! The engine-facing side of the fault lab: [`FaultInjector`] is the
-//! object-safe interface every simulation engine consults at its exchange
-//! boundary, and [`PlanInjector`] is its deterministic realisation of a
-//! [`FaultPlan`].
+//! The engine-facing side of the fault lab: [`PlanInjector`], the
+//! deterministic realisation of a [`FaultPlan`] every engine and runtime
+//! consults — at cycle entry through [`crate::enter_cycle`], and at its
+//! exchange boundary for link vetoes and the cycle's loss probability.
 //!
 //! The contract is built around the same determinism discipline as the
 //! peer-sampling layer:
 //!
-//! * **link and partition decisions are pure** — [`FaultInjector::link_blocked`]
+//! * **link and partition decisions are pure** — [`PlanInjector::link_blocked`]
 //!   is a function of (plan, seed, endpoints, cycle) with no internal state,
 //!   so the sharded engine may evaluate it in any executor (sequential or
 //!   threaded schedule construction) and get identical answers in any query
@@ -17,62 +17,15 @@
 //!   randomness and an empty plan leaves trajectories bit-identical to a
 //!   fault-free engine (pinned by `tests/determinism.rs`);
 //! * **crash victims stay with the engine** — the injector only decides *how
-//!   many* nodes crash; the engine removes them through its existing churn
-//!   path (`remove_random_nodes`), reusing the arena free lists and sampler
-//!   notifications.
+//!   many* nodes crash; the engine removes them through
+//!   [`crate::crash_random`] over its own [`crate::LiveSet`] — the same path
+//!   its churn (`remove_random_nodes`) takes, reusing the arena free lists
+//!   and sampler notifications.
 
 use crate::plan::FaultPlan;
 use overlay_topology::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::fmt;
-
-/// The fault-injection interface the simulation engines drive.
-///
-/// Call order per engine cycle: exactly one [`FaultInjector::begin_cycle`],
-/// then at most one [`FaultInjector::crash_count`] and one
-/// [`FaultInjector::corruptions`] (both before any exchange), then any
-/// number of [`FaultInjector::link_blocked`] /
-/// [`FaultInjector::loss_probability`] queries during the exchange phase.
-pub trait FaultInjector: fmt::Debug {
-    /// Enters cycle `cycle`: caches the cycle-dependent fault state (loss
-    /// rate, active partitions). Must be called before any other query of
-    /// that cycle.
-    fn begin_cycle(&mut self, cycle: usize);
-
-    /// The message-loss probability in effect for the current cycle, in
-    /// `[0, 1]`. Engines draw the actual losses from their own (or their
-    /// per-exchange) RNG streams, exactly as they always did for
-    /// `NetworkConditions`.
-    fn loss_probability(&self) -> f64;
-
-    /// Whether the link between `a` and `b` is unusable in the current cycle
-    /// (persistent per-link failure or an active partition separating the
-    /// endpoints). Symmetric and pure: no internal state changes, identical
-    /// answers in any query order.
-    fn link_blocked(&self, a: NodeId, b: NodeId) -> bool;
-
-    /// Whether [`FaultInjector::link_blocked`] can answer `true` at all in
-    /// the current cycle. A cheap once-per-cycle gate: engines driving
-    /// millions of peer picks per cycle skip the per-pick `link_blocked`
-    /// query entirely when this is `false`. The default conservatively
-    /// returns `true` (always consult `link_blocked`).
-    fn links_can_block(&self) -> bool {
-        true
-    }
-
-    /// Number of nodes to crash at the start of the current cycle, given the
-    /// current live count. The engine removes that many uniformly random
-    /// live nodes through its churn path.
-    fn crash_count(&mut self, live: usize) -> usize;
-
-    /// Adversarial value injections to apply at the start of the current
-    /// cycle: `(directory position, injected value)` pairs over the engine's
-    /// dense live directory of `live` nodes. Victim picks are drawn from the
-    /// injector's own stream; positions may repeat (re-corrupting a victim
-    /// is idempotent).
-    fn corruptions(&mut self, live: usize) -> Vec<(usize, f64)>;
-}
 
 /// SplitMix64 finaliser — the same mixing the engines' `SeedSequence` uses,
 /// applied to (seed, entity) pairs so every link and partition-side decision
@@ -150,7 +103,7 @@ impl PlanInjector {
         &self.plan
     }
 
-    /// The current cycle (as last set by [`FaultInjector::begin_cycle`]).
+    /// The current cycle (as last set by [`PlanInjector::begin_cycle`]).
     pub fn cycle(&self) -> usize {
         self.cycle
     }
@@ -182,28 +135,26 @@ impl PlanInjector {
         h < self.link_threshold
     }
 
-    fn refresh_cycle_state(&mut self) {
-        self.loss = self.plan.loss_at(self.cycle);
-        self.active_partitions.clear();
-        for (idx, window) in self.plan.partitions.iter().enumerate() {
-            if window.active_at(self.cycle) {
-                self.active_partitions.push(idx);
-            }
-        }
-    }
-}
-
-impl FaultInjector for PlanInjector {
-    fn begin_cycle(&mut self, cycle: usize) {
+    /// Enters cycle `cycle`: caches the cycle-dependent fault state (loss
+    /// rate, active partitions). Called once per cycle, before any other
+    /// query of that cycle.
+    pub fn begin_cycle(&mut self, cycle: usize) {
         self.cycle = cycle;
         self.refresh_cycle_state();
     }
 
-    fn loss_probability(&self) -> f64 {
+    /// The message-loss probability in effect for the current cycle, in
+    /// `[0, 1]`. Engines draw the actual losses from their own (or their
+    /// per-exchange) RNG streams.
+    pub fn loss_probability(&self) -> f64 {
         self.loss
     }
 
-    fn link_blocked(&self, a: NodeId, b: NodeId) -> bool {
+    /// Whether the link between `a` and `b` is unusable in the current cycle
+    /// (persistent per-link failure or an active partition separating the
+    /// endpoints). Symmetric and pure: no internal state changes, identical
+    /// answers in any query order.
+    pub fn link_blocked(&self, a: NodeId, b: NodeId) -> bool {
         if self.link_dead(a, b) {
             return true;
         }
@@ -215,11 +166,18 @@ impl FaultInjector for PlanInjector {
         false
     }
 
-    fn links_can_block(&self) -> bool {
+    /// Whether [`PlanInjector::link_blocked`] can answer `true` at all in
+    /// the current cycle. A cheap once-per-cycle gate: engines driving
+    /// millions of peer picks per cycle skip the per-pick query entirely
+    /// when this is `false`.
+    pub fn links_can_block(&self) -> bool {
         self.has_link_faults || !self.active_partitions.is_empty()
     }
 
-    fn crash_count(&mut self, live: usize) -> usize {
+    /// Number of nodes to crash at the start of the current cycle, given the
+    /// current live count. The runtime removes that many uniformly random
+    /// live nodes through its churn path.
+    pub fn crash_count(&mut self, live: usize) -> usize {
         let mut remaining = live;
         let mut total = 0;
         // Bursts sharing a cycle compose sequentially: each takes its
@@ -232,7 +190,12 @@ impl FaultInjector for PlanInjector {
         total
     }
 
-    fn corruptions(&mut self, live: usize) -> Vec<(usize, f64)> {
+    /// Adversarial value injections to apply at the start of the current
+    /// cycle: `(directory position, injected value)` pairs over a dense live
+    /// directory of `live` nodes. Victim picks are drawn from the injector's
+    /// own stream; positions may repeat (re-corrupting a victim is
+    /// idempotent).
+    pub fn corruptions(&mut self, live: usize) -> Vec<(usize, f64)> {
         let mut out = Vec::new();
         if live == 0 {
             return out;
@@ -261,6 +224,16 @@ impl FaultInjector for PlanInjector {
             }
         }
         out
+    }
+
+    fn refresh_cycle_state(&mut self) {
+        self.loss = self.plan.loss_at(self.cycle);
+        self.active_partitions.clear();
+        for (idx, window) in self.plan.partitions.iter().enumerate() {
+            if window.active_at(self.cycle) {
+                self.active_partitions.push(idx);
+            }
+        }
     }
 }
 

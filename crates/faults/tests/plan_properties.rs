@@ -6,7 +6,7 @@
 //! effective loss rate stays a probability at every cycle).
 
 use gossip_faults::{
-    CrashBurst, FaultInjector, FaultPlan, LossRamp, PartitionWindow, PlanInjector, ValueInjection,
+    CrashBurst, FaultPlan, LossRamp, PartitionWindow, PlanInjector, ValueInjection,
 };
 use overlay_topology::NodeId;
 use proptest::prelude::*;

@@ -23,7 +23,7 @@
 //!   incoming exchanges. Its environment is fully injected through
 //!   [`NodeEnv`]: a [`aggregate_core::effects::Clock`], a seeded RNG, a
 //!   [`aggregate_core::sampler::PeerSampler`], a
-//!   [`gossip_faults::FaultInjector`] and the transport;
+//!   [`gossip_faults::PlanInjector`] and the transport;
 //! * [`VirtualCluster`] — the same node type and transport under a
 //!   [`aggregate_core::effects::VirtualClock`] and labelled
 //!   [`aggregate_core::effects::SeedSequence`] streams, stepped in lockstep:

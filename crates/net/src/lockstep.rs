@@ -26,7 +26,7 @@ use aggregate_core::redundancy::redundant_size_estimate_from_epoch;
 use aggregate_core::sampler::{sample_live_peer, PeerSampler, SamplerConfig, SamplerDirectory};
 use aggregate_core::{size_estimation, ExchangeTally, GossipMessage, InstanceTag};
 use gossip_analysis::OnlineStats;
-use gossip_faults::{Adversary, AdversaryPlan, FaultInjector, FaultPlan, PlanInjector};
+use gossip_faults::{enter_cycle, Adversary, AdversaryPlan, FaultPlan, LiveSet, PlanInjector};
 use gossip_sim::sampling::{ADVERSARY_STREAM, FAULTS_STREAM, REDUNDANCY_STREAM};
 use gossip_sim::{instantiate_sampler, CycleSummary, SimConfigError, SimulationConfig};
 use gossip_telemetry::{Event, TelemetryConfig, TelemetrySink};
@@ -63,6 +63,63 @@ impl SamplerDirectory for LiveDirectory<'_> {
     fn is_live(&self, id: NodeId) -> bool {
         let slot = id.as_u32() as usize;
         slot < self.live_pos.len() && self.live_pos[slot] != NOT_LIVE
+    }
+}
+
+/// The cluster's side of the shared fault prologue: the same dense live
+/// array and swap-remove bookkeeping as the engine arena, so crash bursts
+/// leave both runtimes with identical live orders; telemetry keys on node
+/// identifiers (= slots).
+struct ClusterLive<'a> {
+    nodes: &'a mut [Option<NodeCore>],
+    live: &'a mut Vec<u32>,
+    live_pos: &'a mut [u32],
+    sampler: &'a mut dyn PeerSampler,
+    telemetry: &'a mut TelemetrySink,
+}
+
+impl ClusterLive<'_> {
+    fn core(&mut self, id: NodeId) -> Option<&mut NodeCore> {
+        self.nodes.get_mut(id.as_u32() as usize)?.as_mut()
+    }
+}
+
+impl LiveSet for ClusterLive<'_> {
+    fn len(&self) -> usize {
+        self.live.len()
+    }
+
+    fn id_at(&self, pos: usize) -> NodeId {
+        NodeId::from_u32(self.live[pos])
+    }
+
+    fn remove_at(&mut self, pos: usize) {
+        let slot = self.live.swap_remove(pos);
+        if let Some(&moved) = self.live.get(pos) {
+            self.live_pos[moved as usize] = pos as u32;
+        }
+        self.live_pos[slot as usize] = NOT_LIVE;
+        self.nodes[slot as usize] = None;
+        if self.telemetry.events_enabled() {
+            self.telemetry.node_departed(u64::from(slot));
+        }
+        self.sampler.on_depart(NodeId::from_u32(slot));
+    }
+
+    fn corrupt_estimate(&mut self, id: NodeId, value: f64) {
+        if let Some(core) = self.core(id) {
+            core.corrupt_estimate(value);
+            if self.telemetry.events_enabled() {
+                self.telemetry.value_corrupted(u64::from(id.as_u32()));
+            }
+        }
+    }
+
+    fn corrupt_instance(&mut self, leader: NodeId, state: f64) {
+        if let Some(core) = self.core(leader) {
+            core.node_mut()
+                .corrupt_instance(InstanceTag::from_leader(leader), state);
+        }
     }
 }
 
@@ -108,7 +165,7 @@ pub struct VirtualCluster {
     clock: VirtualClock,
     rng: StdRng,
     sampler: Box<dyn PeerSampler + Send>,
-    injector: Box<dyn FaultInjector + Send>,
+    injector: PlanInjector,
     /// The stateful adversary, mirroring the engine's: colluders re-assert
     /// lies each cycle, captured leaders re-assert false instance states.
     adversary: Adversary,
@@ -201,10 +258,7 @@ impl VirtualCluster {
         let initial_ids: Vec<NodeId> = (0..n).map(NodeId::new).collect();
         let seeds = SeedSequence::new(master_seed);
         let sampler = instantiate_sampler(config.sampler, &initial_ids, &seeds)?;
-        let injector = Box::new(PlanInjector::new(
-            plan,
-            seeds.seed_for_labeled(0, FAULTS_STREAM),
-        ));
+        let injector = PlanInjector::new(plan, seeds.seed_for_labeled(0, FAULTS_STREAM));
         let adversary = Adversary::new(
             adversary_plan,
             seeds.seed_for_labeled(0, ADVERSARY_STREAM),
@@ -308,65 +362,30 @@ impl VirtualCluster {
         let mut tally = ExchangeTally::default();
         let mut exchanges_blocked = 0usize;
 
-        // Fault lab first, exactly as the engine orders it: enter the cycle,
-        // fire scheduled crash bursts through the churn path, apply
-        // adversarial corruptions, then cache the loss rate.
-        self.injector.begin_cycle(self.cycle);
-        let crash_victims = self.injector.crash_count(self.live.len());
-        if crash_victims > 0 {
-            self.remove_random_nodes(crash_victims);
-        }
-        // The stateful adversary next, exactly as the engine orders it:
-        // colluders re-assert their lie at the start of every active cycle,
-        // captured leaders re-assert the false state into their instances.
-        // Pure — no RNG — so the empty plan stays bit-identical.
-        if let Some(value) = self.adversary.lie_at(self.cycle) {
+        // Fault lab first, through the same prologue as the engine (crash
+        // victims from the schedule RNG, as the engine's churn path draws).
+        let loss = {
             let VirtualCluster {
+                injector,
                 adversary,
+                cycle,
+                rng,
                 nodes,
+                live,
+                live_pos,
+                sampler,
                 telemetry,
                 ..
             } = self;
-            let record = telemetry.events_enabled();
-            for &id in adversary.colluders() {
-                let slot = id.as_u32() as usize;
-                if slot < nodes.len() {
-                    if let Some(core) = nodes[slot].as_mut() {
-                        core.corrupt_estimate(value);
-                        if record {
-                            telemetry.value_corrupted(u64::from(id.as_u32()));
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(state) = self.adversary.captured_state_at(self.cycle) {
-            for &id in self.adversary.captured() {
-                let slot = id.as_u32() as usize;
-                if slot < self.nodes.len() {
-                    if let Some(core) = self.nodes[slot].as_mut() {
-                        core.node_mut()
-                            .corrupt_instance(InstanceTag::from_leader(id), state);
-                    }
-                }
-            }
-        }
-        // One corruption per node per cycle: adversary lies win over the
-        // one-shot ValueInjection (same rule as the engine).
-        for (pos, value) in self.injector.corruptions(self.live.len()) {
-            let slot = self.live[pos] as usize;
-            let id = NodeId::from_u32(self.live[pos]);
-            if self.adversary.overrides_injection(self.cycle, id) {
-                continue;
-            }
-            if let Some(core) = self.nodes[slot].as_mut() {
-                core.corrupt_estimate(value);
-                if self.telemetry.events_enabled() {
-                    self.telemetry.value_corrupted(u64::from(id.as_u32()));
-                }
-            }
-        }
-        let loss = self.injector.loss_probability();
+            let mut live = ClusterLive {
+                nodes,
+                live,
+                live_pos,
+                sampler: sampler.as_mut(),
+                telemetry,
+            };
+            enter_cycle(injector, adversary, *cycle, &mut live, rng)
+        };
 
         // Overlay maintenance in lockstep with the aggregation cycle.
         self.sampler.begin_cycle(&LiveDirectory {
@@ -583,30 +602,6 @@ impl VirtualCluster {
     /// Runs `cycles` consecutive cycles, returning all summaries.
     pub fn run(&mut self, cycles: usize) -> Vec<CycleSummary> {
         (0..cycles).map(|_| self.run_cycle()).collect()
-    }
-
-    /// Removes `count` uniformly random live nodes through the same draw
-    /// sequence and swap-remove bookkeeping as the engine arena's churn
-    /// path, so crash bursts leave both runtimes with identical live orders.
-    fn remove_random_nodes(&mut self, count: usize) {
-        for _ in 0..count {
-            if self.live.is_empty() {
-                break;
-            }
-            let position = self.rng.gen_range(0..self.live.len());
-            let slot = self.live[position];
-            let last = *self.live.last().expect("non-empty"); // lint-allow(unwrap): guarded by the is_empty break above
-            self.live.swap_remove(position);
-            if last != slot {
-                self.live_pos[last as usize] = position as u32;
-            }
-            self.live_pos[slot as usize] = NOT_LIVE;
-            self.nodes[slot as usize] = None;
-            if self.telemetry.events_enabled() {
-                self.telemetry.node_departed(u64::from(slot));
-            }
-            self.sampler.on_depart(NodeId::from_u32(slot));
-        }
     }
 
     /// Re-runs the leader election for the counting instances, mirroring the

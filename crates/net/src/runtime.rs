@@ -4,7 +4,7 @@
 //! every exchange state transition goes through [`NodeCore`] (and therefore
 //! [`aggregate_core::ExchangeCore`]), and everything environmental reaches
 //! the loop through an injected [`NodeEnv`] — a [`Clock`], a seeded RNG, a
-//! [`PeerSampler`], a [`FaultInjector`] and the [`Transport`]. The same
+//! [`PeerSampler`], a [`PlanInjector`] and the [`Transport`]. The same
 //! `SamplerConfig` and `FaultPlan` values that configure the simulators plug
 //! in here unchanged, so link vetoes, loss, partitions and crash bursts work
 //! against a live UDP cluster exactly as they do in the fault lab.
@@ -16,7 +16,7 @@ use aggregate_core::node::ProtocolNode;
 use aggregate_core::sampler::UniformSampler;
 use aggregate_core::sampler::{sample_live_peer, PeerSampler, SamplerConfig, SliceDirectory};
 use aggregate_core::{GossipMessage, ProtocolConfig};
-use gossip_faults::{Adversary, AdversaryPlan, FaultInjector, FaultPlan, PlanInjector};
+use gossip_faults::{Adversary, AdversaryPlan, FaultPlan, LiveSet, PlanInjector};
 use gossip_sim::instantiate_sampler;
 use gossip_sim::sampling::{ADVERSARY_STREAM, FAULTS_STREAM};
 use gossip_telemetry::{Event, TelemetryConfig, TelemetrySink};
@@ -217,7 +217,7 @@ pub struct NodeEnv<T: Transport> {
     clock: Box<dyn Clock>,
     rng: StdRng,
     sampler: Box<dyn PeerSampler + Send>,
-    injector: Box<dyn FaultInjector + Send>,
+    injector: PlanInjector,
     /// The stateful adversary: when this node is a colluder, it re-asserts
     /// the attack value at every cycle boundary, exactly as the simulators'
     /// colluders do. Cluster-shared seed stream ⇒ every node agrees on the
@@ -242,7 +242,7 @@ impl<T: Transport> NodeEnv<T> {
             clock: Box::new(SystemClock::new()),
             rng: StdRng::seed_from_u64(seed),
             sampler: Box::new(UniformSampler::new()),
-            injector: Box::new(PlanInjector::new(FaultPlan::none(), 0)),
+            injector: PlanInjector::new(FaultPlan::none(), 0),
             adversary: Adversary::none(),
             fault_schedule: StdRng::seed_from_u64(0),
             telemetry: TelemetryConfig::disabled(),
@@ -304,10 +304,7 @@ impl<T: Transport> NodeEnv<T> {
         plan.validate().map_err(|e| NetError::InvalidConfig {
             reason: e.to_string(),
         })?;
-        self.injector = Box::new(PlanInjector::new(
-            plan,
-            seeds.seed_for_labeled(0, FAULTS_STREAM),
-        ));
+        self.injector = PlanInjector::new(plan, seeds.seed_for_labeled(0, FAULTS_STREAM));
         self.fault_schedule = seeds.rng_for_labeled(0, FAULT_SCHEDULE_STREAM);
         Ok(self)
     }
@@ -595,7 +592,6 @@ fn run_node_loop<T: Transport>(
 /// Per-cycle fault-lab and overlay bookkeeping, identical on every node:
 /// crash bursts and value corruptions are drawn from streams every node
 /// shares, so the cluster agrees on victims without coordination.
-#[allow(clippy::too_many_arguments)]
 fn enter_cycle<T: Transport>(
     env: &mut NodeEnv<T>,
     cycle: usize,
@@ -605,48 +601,71 @@ fn enter_cycle<T: Transport>(
     telemetry: &Mutex<TelemetrySink>,
     events: bool,
 ) {
-    env.injector.begin_cycle(cycle);
-    let victims = env.injector.crash_count(state.live_ids.len());
-    for _ in 0..victims {
-        if state.live_ids.is_empty() {
-            break;
-        }
-        let k = env.fault_schedule.gen_range(0..state.live_ids.len());
-        let victim = state.live_ids.swap_remove(k);
-        env.sampler.on_depart(victim);
-        if victim == local {
-            state.crashed = true;
+    let NodeEnv {
+        injector,
+        adversary,
+        fault_schedule,
+        sampler,
+        ..
+    } = env;
+    let mut live = NodeLive {
+        state,
+        sampler: sampler.as_mut(),
+        node,
+        local,
+        telemetry,
+        events,
+    };
+    state.loss = gossip_faults::enter_cycle(injector, adversary, cycle, &mut live, fault_schedule);
+    sampler.begin_cycle(&SliceDirectory::new(&state.live_ids));
+}
+
+/// One node's side of the shared fault prologue: the cluster-wide live
+/// membership every node tracks identically, but corruptions apply to (and
+/// telemetry records) only the local node.
+struct NodeLive<'a> {
+    state: &'a mut CycleState,
+    sampler: &'a mut dyn PeerSampler,
+    node: &'a Mutex<NodeCore>,
+    local: NodeId,
+    telemetry: &'a Mutex<TelemetrySink>,
+    events: bool,
+}
+
+impl LiveSet for NodeLive<'_> {
+    fn len(&self) -> usize {
+        self.state.live_ids.len()
+    }
+
+    fn id_at(&self, pos: usize) -> NodeId {
+        self.state.live_ids[pos]
+    }
+
+    fn remove_at(&mut self, pos: usize) {
+        let victim = self.state.live_ids.swap_remove(pos);
+        self.sampler.on_depart(victim);
+        if victim == self.local {
+            self.state.crashed = true;
             // Each node's trace records only its own crash; merging per-node
             // traces therefore yields one departure event per victim.
-            if events {
-                telemetry.lock().node_departed(u64::from(local.as_u32()));
+            if self.events {
+                self.telemetry
+                    .lock()
+                    .node_departed(u64::from(self.local.as_u32()));
             }
         }
     }
-    // The stateful adversary next, in the simulators' order: a colluding
-    // node re-asserts its lie every cycle, and the one-shot ValueInjection
-    // never double-corrupts a node the adversary is actively lying through.
-    if env.adversary.is_colluder(local) {
-        if let Some(value) = env.adversary.lie_at(cycle) {
-            node.lock().corrupt_estimate(value);
-            if events {
-                telemetry.lock().value_corrupted(u64::from(local.as_u32()));
+
+    fn corrupt_estimate(&mut self, id: NodeId, value: f64) {
+        if id == self.local {
+            self.node.lock().corrupt_estimate(value);
+            if self.events {
+                self.telemetry
+                    .lock()
+                    .value_corrupted(u64::from(self.local.as_u32()));
             }
         }
     }
-    for (pos, value) in env.injector.corruptions(state.live_ids.len()) {
-        if state.live_ids.get(pos) == Some(&local)
-            && !env.adversary.overrides_injection(cycle, local)
-        {
-            node.lock().corrupt_estimate(value);
-            if events {
-                telemetry.lock().value_corrupted(u64::from(local.as_u32()));
-            }
-        }
-    }
-    state.loss = env.injector.loss_probability();
-    env.sampler
-        .begin_cycle(&SliceDirectory::new(&state.live_ids));
 }
 
 /// The active half of Figure 1: sample a peer, let the fault lab veto the
@@ -894,6 +913,61 @@ impl GossipCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn enter_cycle_corrupts_only_the_local_node_and_only_once() {
+        // The live runtime's side of the shared fault prologue: an injection
+        // hitting every node composes with an active colluding lie as in the
+        // simulators — each node corrupts only itself, exactly once, and a
+        // colluder keeps the lie.
+        let seeds = SeedSequence::new(11);
+        let plan = FaultPlan {
+            injections: vec![gossip_faults::ValueInjection {
+                cycle: 0,
+                fraction: 1.0,
+                value: 100.0,
+            }],
+            ..FaultPlan::default()
+        };
+        let lie = gossip_faults::AttackStrategy::FixedLie { value: 7.0 };
+        let adversary = AdversaryPlan::with_strategy(0.5, lie);
+        let protocol = ProtocolConfig::builder().build().unwrap();
+        let mut colluders = 0;
+        for endpoint in InMemoryNetwork::create(8) {
+            let local = endpoint.local_node();
+            let mut members = endpoint.peers();
+            members.push(local);
+            members.sort();
+            let mut env = NodeEnv::real(endpoint, 0)
+                .with_faults(plan.clone(), &seeds)
+                .unwrap()
+                .with_adversary(adversary, &seeds)
+                .unwrap();
+            let colludes = env.adversary.is_colluder(local);
+            colluders += usize::from(colludes);
+            let node = Mutex::new(NodeCore::new(ProtocolNode::new(local, protocol, 1.0)));
+            let telemetry = Mutex::new(TelemetrySink::new(TelemetryConfig::full()));
+            let mut state = CycleState {
+                live_ids: members,
+                crashed: false,
+                loss: 0.0,
+            };
+            enter_cycle(&mut env, 0, &mut state, &node, local, &telemetry, true);
+            let expected = if colludes { 7.0 } else { 100.0 };
+            assert_eq!(node.lock().estimate(), Some(expected), "{local}");
+            let corruptions = telemetry
+                .lock()
+                .drain_events()
+                .iter()
+                .filter(|e| matches!(e.kind, gossip_telemetry::EventKind::ValueCorrupted { .. }))
+                .count();
+            assert_eq!(corruptions, 1, "{local} must be corrupted exactly once");
+        }
+        assert!(
+            colluders > 0 && colluders < 8,
+            "the test needs a mixed population"
+        );
+    }
 
     #[test]
     fn cluster_converges_and_conserves_the_sum() {

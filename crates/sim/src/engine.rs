@@ -38,7 +38,9 @@ use aggregate_core::sampler::{sample_live_peer, PeerSampler, SamplerConfig};
 use aggregate_core::size_estimation::{self, LeaderPolicy};
 use aggregate_core::{ExchangeCore, ExchangeTally, GossipMessage, InstanceTag, ProtocolConfig};
 use gossip_analysis::OnlineStats;
-use gossip_faults::{Adversary, AdversaryPlan, FaultInjector, FaultPlan, PlanInjector};
+use gossip_faults::{
+    crash_random, enter_cycle, Adversary, AdversaryPlan, FaultPlan, LiveSet, PlanInjector,
+};
 use gossip_telemetry::{Event, TelemetryConfig, TelemetrySink, WatchdogVerdict};
 use overlay_topology::NodeId;
 use rand::rngs::StdRng;
@@ -163,12 +165,12 @@ pub struct GossipSimulation {
     cycle: usize,
     rng: StdRng,
     sampler: Box<dyn PeerSampler>,
-    /// The fault lab. By default a [`PlanInjector`] over the run's
-    /// [`FaultPlan`] with the configured [`NetworkConditions`] absorbed
-    /// underneath, so every run — faulty or not — executes through one
-    /// injector path; the empty plan is bit-identical to the pre-fault-lab
-    /// engine (pinned by `tests/determinism.rs`).
-    injector: Box<dyn FaultInjector>,
+    /// The fault lab: a [`PlanInjector`] over the run's [`FaultPlan`] with
+    /// the configured [`NetworkConditions`] absorbed underneath, so every
+    /// run — faulty or not — executes through one injector path; the empty
+    /// plan is bit-identical to the pre-fault-lab engine (pinned by
+    /// `tests/determinism.rs`).
+    injector: PlanInjector,
     /// The stateful adversary: colluders re-asserting lies every cycle and
     /// captured counting-instance leaders. The empty plan never touches a
     /// node and consumes no randomness, so it is bit-identical to no
@@ -189,6 +191,48 @@ pub struct GossipSimulation {
     /// Virtual time driving the flight-recorder timestamps; advances by
     /// [`VIRTUAL_CYCLE_MS`] per cycle, never reads the wall clock.
     clock: VirtualClock,
+}
+
+/// The reference engine's side of the shared fault prologue: positions are
+/// the arena's dense live array, telemetry keys on node identifiers.
+struct EngineLive<'a> {
+    arena: &'a mut NodeArena,
+    sampler: &'a mut dyn PeerSampler,
+    telemetry: &'a mut TelemetrySink,
+}
+
+impl LiveSet for EngineLive<'_> {
+    fn len(&self) -> usize {
+        self.arena.len()
+    }
+
+    fn id_at(&self, pos: usize) -> NodeId {
+        self.arena.id_at_slot(self.arena.live_slots()[pos])
+    }
+
+    fn remove_at(&mut self, pos: usize) {
+        let id = self.id_at(pos);
+        self.arena.remove_live_at(pos);
+        self.sampler.on_depart(id);
+        if self.telemetry.events_enabled() {
+            self.telemetry.node_departed(u64::from(id.as_u32()));
+        }
+    }
+
+    fn corrupt_estimate(&mut self, id: NodeId, value: f64) {
+        if let Some(node) = self.arena.get_mut(id) {
+            node.corrupt_estimate(value);
+            if self.telemetry.events_enabled() {
+                self.telemetry.value_corrupted(u64::from(id.as_u32()));
+            }
+        }
+    }
+
+    fn corrupt_instance(&mut self, leader: NodeId, state: f64) {
+        if let Some(node) = self.arena.get_mut(leader) {
+            node.corrupt_instance(InstanceTag::from_leader(leader), state);
+        }
+    }
 }
 
 impl GossipSimulation {
@@ -309,10 +353,10 @@ impl GossipSimulation {
         }
         let seeds = SeedSequence::new(master_seed);
         let sampler = instantiate_sampler(config.sampler, &initial_ids, &seeds)?;
-        let injector = Box::new(PlanInjector::new(
+        let injector = PlanInjector::new(
             plan,
             seeds.seed_for_labeled(0, crate::sampling::FAULTS_STREAM),
-        ));
+        );
         let adversary = Adversary::new(
             adversary_plan,
             seeds.seed_for_labeled(0, crate::sampling::ADVERSARY_STREAM),
@@ -476,36 +520,40 @@ impl GossipSimulation {
     /// node was live; stale identifiers from a slot's previous occupant are
     /// rejected.
     pub fn remove_node(&mut self, id: NodeId) -> bool {
-        if self.arena.remove(id) {
-            self.sampler.on_depart(id);
-            if self.telemetry.events_enabled() {
-                self.telemetry.node_departed(u64::from(id.as_u32()));
-            }
-            true
-        } else {
-            false
-        }
+        let slot = self.arena.slot_of(id);
+        let Some(pos) = slot.and_then(|slot| self.arena.live_pos_of_slot(slot)) else {
+            return false;
+        };
+        let (_, _, mut live, _) = self.fault_parts();
+        live.remove_at(pos as usize);
+        true
     }
 
     /// Removes `count` uniformly random live nodes (used by churn schedules
     /// and crash experiments). Returns the number actually removed.
     pub fn remove_random_nodes(&mut self, count: usize) -> usize {
-        let mut removed = 0;
-        for _ in 0..count {
-            if self.arena.is_empty() {
-                break;
-            }
-            let position = self.rng.gen_range(0..self.arena.len());
-            let slot = self.arena.live_slots()[position];
-            let id = self.arena.id_at_slot(slot);
-            self.arena.remove_live_at(position);
-            self.sampler.on_depart(id);
-            if self.telemetry.events_enabled() {
-                self.telemetry.node_departed(u64::from(id.as_u32()));
-            }
-            removed += 1;
-        }
-        removed
+        let (_, _, mut live, rng) = self.fault_parts();
+        crash_random(&mut live, rng, count)
+    }
+
+    /// Splits the engine into what the shared fault prologue works on: the
+    /// injector, the adversary, the live-set view and the engine RNG.
+    fn fault_parts(&mut self) -> (&mut PlanInjector, &Adversary, EngineLive<'_>, &mut StdRng) {
+        let GossipSimulation {
+            injector,
+            adversary,
+            arena,
+            sampler,
+            telemetry,
+            rng,
+            ..
+        } = self;
+        let live = EngineLive {
+            arena,
+            sampler: sampler.as_mut(),
+            telemetry,
+        };
+        (injector, adversary, live, rng)
     }
 
     /// Runs one full protocol cycle and returns its summary.
@@ -522,68 +570,13 @@ impl GossipSimulation {
         let mut tally = ExchangeTally::default();
         let mut exchanges_blocked = 0usize;
 
-        // Fault lab first: enter the cycle, fire any scheduled crash burst
-        // (victims drawn through the ordinary churn path, so arena free
-        // lists and sampler notifications behave exactly as under churn),
-        // then apply adversarial value injections. Under the empty plan all
-        // of this is a no-op that consumes no randomness.
-        self.injector.begin_cycle(self.cycle);
-        let crash_victims = self.injector.crash_count(self.arena.len());
-        if crash_victims > 0 {
-            self.remove_random_nodes(crash_victims);
-        }
-        // The stateful adversary next: colluders re-assert their lie at the
-        // start of every active cycle (this is what distinguishes them from
-        // the one-shot ValueInjection — dilution never wins while the attack
-        // runs), and captured counting-instance leaders re-assert the false
-        // state into the instances they lead. All of it is pure — no RNG —
-        // so the empty plan stays bit-identical.
-        {
-            let GossipSimulation {
-                adversary,
-                arena,
-                cycle,
-                telemetry,
-                ..
-            } = self;
-            let record = telemetry.events_enabled();
-            if let Some(value) = adversary.lie_at(*cycle) {
-                for &id in adversary.colluders() {
-                    if let Some(node) = arena.get_mut(id) {
-                        node.corrupt_estimate(value);
-                        if record {
-                            telemetry.value_corrupted(u64::from(id.as_u32()));
-                        }
-                    }
-                }
-            }
-            if let Some(state) = adversary.captured_state_at(*cycle) {
-                for &id in adversary.captured() {
-                    if let Some(node) = arena.get_mut(id) {
-                        node.corrupt_instance(InstanceTag::from_leader(id), state);
-                    }
-                }
-            }
-        }
-        // One corruption per node per cycle: a node the adversary is actively
-        // lying through keeps the adversary's value — the injection would be
-        // overwritten at the next cycle start anyway, and skipping it keeps
-        // the composed labs from double-corrupting (pinned by a regression
-        // test in tests/byzantine.rs).
-        for (pos, value) in self.injector.corruptions(self.arena.len()) {
-            let slot = self.arena.live_slots()[pos];
-            let id = self.arena.id_at_slot(slot);
-            if self.adversary.overrides_injection(self.cycle, id) {
-                continue;
-            }
-            if let Some(node) = self.arena.node_at_slot_mut(slot) {
-                node.corrupt_estimate(value);
-                if self.telemetry.events_enabled() {
-                    self.telemetry.value_corrupted(u64::from(id.as_u32()));
-                }
-            }
-        }
-        let loss = self.injector.loss_probability();
+        // Fault lab first: crash bursts, colluder lies, leader capture and
+        // value injections, in the order every runtime shares (crash victims
+        // come from the engine RNG, through the ordinary churn path). Under
+        // the empty plans all of this is a no-op that consumes no randomness.
+        let cycle = self.cycle;
+        let (injector, adversary, mut live, rng) = self.fault_parts();
+        let loss = enter_cycle(injector, adversary, cycle, &mut live, rng);
 
         // Overlay maintenance next, in lockstep with the aggregation cycle:
         // NEWSCAST exchanges and ages its views here (from its own labelled

@@ -15,7 +15,7 @@ use crate::SeedSequence;
 use aggregate_core::node::ProtocolNode;
 use aggregate_core::sampler::{sample_live_peer, PeerSampler, SamplerConfig, SamplerDirectory};
 use aggregate_core::{ExchangeCore, GossipMessage, ProtocolConfig};
-use gossip_faults::{FaultInjector, FaultPlan, PlanInjector};
+use gossip_faults::{enter_cycle, Adversary, FaultPlan, LiveSet, PlanInjector};
 use overlay_topology::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -265,6 +265,40 @@ impl SamplerDirectory for AsyncDirectory<'_> {
     }
 }
 
+/// The async engine's side of the shared fault prologue: positions
+/// enumerate the dense live list. A crashed node stops waking up, and
+/// in-flight messages to it are dropped on delivery.
+struct AsyncLive<'a> {
+    nodes: &'a mut [ProtocolNode],
+    live: &'a mut Vec<u32>,
+    pos_of: &'a mut [u32],
+    sampler: &'a mut dyn PeerSampler,
+}
+
+impl LiveSet for AsyncLive<'_> {
+    fn len(&self) -> usize {
+        self.live.len()
+    }
+
+    fn id_at(&self, pos: usize) -> NodeId {
+        NodeId::new(self.live[pos] as usize)
+    }
+
+    fn remove_at(&mut self, pos: usize) {
+        let idx = self.live.swap_remove(pos);
+        self.pos_of[idx as usize] = u32::MAX;
+        if let Some(&moved) = self.live.get(pos) {
+            self.pos_of[moved as usize] = pos as u32;
+        }
+        self.sampler.on_depart(NodeId::new(idx as usize));
+    }
+
+    fn corrupt_estimate(&mut self, id: NodeId, value: f64) {
+        // Without an adversary, only injection victims — live nodes — get here.
+        self.nodes[id.index()].corrupt_estimate(value);
+    }
+}
+
 /// Event-driven simulation of the asynchronous protocol.
 #[derive(Debug)]
 pub struct AsyncSimulation {
@@ -281,7 +315,7 @@ pub struct AsyncSimulation {
     sampler: Box<dyn PeerSampler>,
     /// The fault lab, advanced on the wakeup-period grid: simulated time
     /// `[c·Δt, (c+1)·Δt)` maps to plan cycle `c`.
-    injector: Box<dyn FaultInjector>,
+    injector: PlanInjector,
     fault_cycle: usize,
     cycle_duration: f64,
     scratch: Vec<GossipMessage>,
@@ -343,10 +377,7 @@ impl AsyncSimulation {
                 reason: e.to_string(),
             }
         })?;
-        let injector = Box::new(PlanInjector::new(
-            plan,
-            seeds.seed_for_labeled(0, FAULTS_STREAM),
-        ));
+        let injector = PlanInjector::new(plan, seeds.seed_for_labeled(0, FAULTS_STREAM));
         let n = nodes.len();
         let mut sim = AsyncSimulation {
             cycle_duration: config.wakeup.cycle_duration(),
@@ -398,44 +429,28 @@ impl AsyncSimulation {
             .collect()
     }
 
-    /// Crashes the node at `pos` of the live list: it stops waking up,
-    /// in-flight messages to it are dropped on delivery, and the sampler is
-    /// notified exactly as under churn.
-    fn crash_at_position(&mut self, pos: usize) {
-        let idx = self.live.swap_remove(pos);
-        self.pos_of[idx as usize] = u32::MAX;
-        if pos < self.live.len() {
-            let moved = self.live[pos];
-            self.pos_of[moved as usize] = pos as u32;
-        }
-        self.sampler.on_depart(NodeId::new(idx as usize));
-    }
-
-    /// Enters plan cycle `cycle`: fires crash bursts (victims from the
-    /// engine RNG, as in the cycle engines), applies value injections, and
-    /// runs one round of overlay maintenance. Free under the empty plan
-    /// with uniform sampling.
+    /// Enters plan cycle `cycle`: runs the shared fault prologue (crash
+    /// victims from the engine RNG, as in the cycle engines; no adversary)
+    /// and one round of overlay maintenance. Free under the empty plan with
+    /// uniform sampling.
     fn enter_fault_cycle(&mut self, cycle: usize) {
         self.fault_cycle = cycle;
-        self.injector.begin_cycle(cycle);
-        let crash_victims = self.injector.crash_count(self.live.len());
-        for _ in 0..crash_victims {
-            if self.live.is_empty() {
-                break;
-            }
-            let pos = self.rng.gen_range(0..self.live.len());
-            self.crash_at_position(pos);
-        }
-        for (pos, value) in self.injector.corruptions(self.live.len()) {
-            let idx = self.live[pos] as usize;
-            self.nodes[idx].corrupt_estimate(value);
-        }
         let AsyncSimulation {
-            sampler,
+            nodes,
             live,
             pos_of,
+            rng,
+            sampler,
+            injector,
             ..
         } = self;
+        let mut view = AsyncLive {
+            nodes,
+            live,
+            pos_of,
+            sampler: sampler.as_mut(),
+        };
+        enter_cycle(injector, &Adversary::none(), cycle, &mut view, rng);
         sampler.begin_cycle(&AsyncDirectory { live, pos_of });
     }
 

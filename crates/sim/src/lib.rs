@@ -78,8 +78,8 @@ pub use event_engine::{
     AsyncConfig, AsyncConfigError, AsyncSimulation, TimeSample, WakeupDistribution,
 };
 pub use gossip_faults::{
-    Adversary, AdversaryPlan, AdversaryPlanError, AttackStrategy, ConditionsError, FaultInjector,
-    FaultPlan, NetworkConditions, PlanInjector,
+    Adversary, AdversaryPlan, AdversaryPlanError, AttackStrategy, ConditionsError, FaultPlan,
+    NetworkConditions, PlanInjector,
 };
 pub use overlay::{OverlayExperiment, OverlayMeasurement};
 // `SeedSequence` moved to `aggregate-core`'s effects module (it now seeds

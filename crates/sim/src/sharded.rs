@@ -65,7 +65,9 @@ use aggregate_core::{
     AggregateKind, ExchangeCore, ExchangeScratch, ExchangeTally, GossipMessage, InstanceTag,
 };
 use gossip_analysis::OnlineStats;
-use gossip_faults::{Adversary, AdversaryPlan, FaultInjector, FaultPlan, PlanInjector};
+use gossip_faults::{
+    crash_random, enter_cycle, Adversary, AdversaryPlan, FaultPlan, LiveSet, PlanInjector,
+};
 use gossip_telemetry::{Event, EventKind, FlightRecorder, TelemetryConfig, TelemetrySink};
 use overlay_topology::NodeId;
 use rand::rngs::StdRng;
@@ -281,6 +283,74 @@ impl SamplerDirectory for GlobalDirectory<'_> {
     }
 }
 
+/// The sharded engine's side of the shared fault prologue, on the
+/// coordinator: positions are the global live directory's order, telemetry
+/// keys on global positions (shard-count invariant, unlike identifiers), and
+/// corruptions write a hot node's authoritative state in its SoA mirror.
+struct ShardedLive<'a> {
+    shards: &'a mut [Shard],
+    global_live: &'a mut Vec<NodeId>,
+    sampler: &'a mut dyn PeerSampler,
+    telemetry: &'a mut TelemetrySink,
+}
+
+impl LiveSet for ShardedLive<'_> {
+    fn len(&self) -> usize {
+        self.global_live.len()
+    }
+
+    fn id_at(&self, pos: usize) -> NodeId {
+        self.global_live[pos]
+    }
+
+    fn remove_at(&mut self, pos: usize) {
+        let id = self.global_live[pos];
+        let shard = &mut self.shards[IdLayout::shard_of(id) as usize];
+        let slot = IdLayout::sharded_slot_of(id);
+        shard.arena.remove_slot_checked(slot);
+        // The departed node's state vanishes with it: no flush, just hygiene.
+        shard.hot.mark_cold(slot);
+        if self.telemetry.events_enabled() {
+            self.telemetry.node_departed(pos as u64);
+        }
+        self.global_live.swap_remove(pos);
+        if let Some(&moved) = self.global_live.get(pos) {
+            let shard = IdLayout::shard_of(moved) as usize;
+            let slot = IdLayout::sharded_slot_of(moved) as usize;
+            self.shards[shard].global_pos[slot] = pos as u32;
+        }
+        self.sampler.on_depart(id);
+    }
+
+    fn corrupt_estimate(&mut self, id: NodeId, value: f64) {
+        let shard = &mut self.shards[IdLayout::shard_of(id) as usize];
+        let slot = IdLayout::sharded_slot_of(id) as usize;
+        let Some(node) = shard.arena.get_mut(id) else {
+            return; // crashed or departed
+        };
+        if self.telemetry.events_enabled() {
+            self.telemetry
+                .value_corrupted(u64::from(shard.global_pos[slot]));
+        }
+        // A hot node's authoritative state lives in the mirror;
+        // `corrupt_estimate` only overwrites the running approximation,
+        // which is exactly the mirrored word.
+        match shard.hot.slots.get_mut(slot).filter(|r| r.is_hot()) {
+            Some(record) => record.state = value,
+            None => node.corrupt_estimate(value),
+        }
+    }
+
+    fn corrupt_instance(&mut self, leader: NodeId, state: f64) {
+        // A leader runs a led instance, so it is cold by construction — the
+        // arena node is authoritative.
+        let shard = &mut self.shards[IdLayout::shard_of(leader) as usize];
+        if let Some(node) = shard.arena.get_mut(leader) {
+            node.corrupt_instance(InstanceTag::from_leader(leader), state);
+        }
+    }
+}
+
 /// Global directory position of a (verified live) identifier.
 fn global_pos_of(shards: &[Shard], id: NodeId) -> u32 {
     let shard = IdLayout::shard_of(id) as usize;
@@ -389,7 +459,7 @@ pub struct ShardedSimulation {
     /// *different (statistically equivalent) fault map* per shard count;
     /// the shard-count bit-invariance of node values holds only for plans
     /// without identity-keyed faults.
-    injector: Box<dyn FaultInjector>,
+    injector: PlanInjector,
     /// The stateful adversary. Consulted exclusively on the coordinator
     /// (cycle-start lies, captured-leader assertions, injection overrides).
     /// Colluder membership keys on initial global-directory *positions* —
@@ -504,10 +574,10 @@ impl ShardedSimulation {
         }
         let seeds = SeedSequence::new(master_seed);
         let sampler = instantiate_sampler(config.base.sampler, &global_live, &seeds)?;
-        let injector = Box::new(PlanInjector::new(
+        let injector = PlanInjector::new(
             plan,
             seeds.seed_for_labeled(0, crate::sampling::FAULTS_STREAM),
-        ));
+        );
         let adversary = Adversary::new(
             adversary_plan,
             seeds.seed_for_labeled(0, crate::sampling::ADVERSARY_STREAM),
@@ -742,22 +812,13 @@ impl ShardedSimulation {
     /// Removes a specific node. Returns `true` if the node was live; stale
     /// identifiers are rejected.
     pub fn remove_node(&mut self, id: NodeId) -> bool {
-        let shard = IdLayout::shard_of(id) as usize;
-        if shard >= self.shards.len() {
+        let shard = self.shards.get(IdLayout::shard_of(id) as usize);
+        if shard.and_then(|shard| shard.arena.get(id)).is_none() {
             return false;
         }
-        if !self.shards[shard].arena.remove(id) {
-            return false;
-        }
-        let slot = IdLayout::sharded_slot_of(id);
-        // The departed node's state vanishes with it: no flush, just hygiene.
-        self.shards[shard].hot.mark_cold(slot);
-        let pos = self.shards[shard].global_pos[slot as usize];
-        if self.telemetry.events_enabled() {
-            self.telemetry.node_departed(u64::from(pos));
-        }
-        self.remove_global_at(pos as usize);
-        self.sampler.on_depart(id);
+        let pos = global_pos_of(&self.shards, id) as usize;
+        let (_, _, mut live, _) = self.fault_parts();
+        live.remove_at(pos);
         true
     }
 
@@ -765,35 +826,31 @@ impl ShardedSimulation {
     /// experiments). The victim sequence is drawn from a dedicated stream
     /// over the global directory, so it is identical for every shard count.
     pub fn remove_random_nodes(&mut self, count: usize) -> usize {
-        let mut removed = 0;
-        for _ in 0..count {
-            if self.global_live.is_empty() {
-                break;
-            }
-            let pos = self.churn_rng.gen_range(0..self.global_live.len());
-            let id = self.global_live[pos];
-            let shard = IdLayout::shard_of(id) as usize;
-            let slot = IdLayout::sharded_slot_of(id);
-            self.shards[shard].arena.remove_slot_checked(slot);
-            self.shards[shard].hot.mark_cold(slot);
-            if self.telemetry.events_enabled() {
-                self.telemetry.node_departed(pos as u64);
-            }
-            self.remove_global_at(pos);
-            self.sampler.on_depart(id);
-            removed += 1;
-        }
-        removed
+        let (_, _, mut live, churn_rng) = self.fault_parts();
+        crash_random(&mut live, churn_rng, count)
     }
 
-    fn remove_global_at(&mut self, pos: usize) {
-        self.global_live.swap_remove(pos);
-        if pos < self.global_live.len() {
-            let moved = self.global_live[pos];
-            let shard = IdLayout::shard_of(moved) as usize;
-            let slot = IdLayout::sharded_slot_of(moved) as usize;
-            self.shards[shard].global_pos[slot] = pos as u32;
-        }
+    /// Splits the coordinator into what the shared fault prologue works on:
+    /// the injector, the adversary, the global live-set view (see
+    /// [`ShardedLive`]) and the churn stream random victims come from.
+    fn fault_parts(&mut self) -> (&mut PlanInjector, &Adversary, ShardedLive<'_>, &mut StdRng) {
+        let ShardedSimulation {
+            injector,
+            adversary,
+            shards,
+            global_live,
+            sampler,
+            telemetry,
+            churn_rng,
+            ..
+        } = self;
+        let live = ShardedLive {
+            shards,
+            global_live,
+            sampler: sampler.as_mut(),
+            telemetry,
+        };
+        (injector, adversary, live, churn_rng)
     }
 
     /// Runs `cycles` consecutive cycles, returning all summaries.
@@ -816,86 +873,14 @@ impl ShardedSimulation {
     /// summary.
     pub fn run_cycle(&mut self) -> ShardedCycleSummary {
         let shard_count = self.config.shards;
-        // Fault lab first, entirely on the coordinator: enter the cycle,
-        // fire scheduled crash bursts through the ordinary churn path
-        // (shard-count-agnostic victim stream), apply adversarial value
-        // injections over the global directory. A run with the empty plan
-        // takes none of these branches and consumes no randomness.
-        self.injector.begin_cycle(self.cycle);
-        let crash_victims = self.injector.crash_count(self.global_live.len());
-        if crash_victims > 0 {
-            self.remove_random_nodes(crash_victims);
-        }
-        // The stateful adversary next (coordinator-only, pure — no RNG, so
-        // the empty plan stays bit-identical): colluders re-assert their lie
-        // and captured counting-instance leaders re-assert the false state,
-        // both hot-aware like the injector path below.
-        {
-            let ShardedSimulation {
-                adversary,
-                shards,
-                cycle,
-                telemetry,
-                ..
-            } = self;
-            let record = telemetry.events_enabled();
-            if let Some(value) = adversary.lie_at(*cycle) {
-                for &id in adversary.colluders() {
-                    let shard = &mut shards[IdLayout::shard_of(id) as usize];
-                    if shard.arena.get(id).is_none() {
-                        continue; // colluder crashed or departed
-                    }
-                    let slot = IdLayout::sharded_slot_of(id) as usize;
-                    if record {
-                        telemetry.value_corrupted(u64::from(shard.global_pos[slot]));
-                    }
-                    match shard.hot.slots.get_mut(slot).filter(|r| r.is_hot()) {
-                        Some(record) => record.state = value,
-                        None => {
-                            if let Some(node) = shard.arena.get_mut(id) {
-                                node.corrupt_estimate(value);
-                            }
-                        }
-                    }
-                }
-            }
-            if let Some(state) = adversary.captured_state_at(*cycle) {
-                for &id in adversary.captured() {
-                    // A captured leader runs a led instance, so it is cold by
-                    // construction — the arena node is authoritative.
-                    let shard = &mut shards[IdLayout::shard_of(id) as usize];
-                    if let Some(node) = shard.arena.get_mut(id) {
-                        node.corrupt_instance(InstanceTag::from_leader(id), state);
-                    }
-                }
-            }
-        }
-        for (pos, value) in self.injector.corruptions(self.global_live.len()) {
-            let id = self.global_live[pos];
-            // One corruption per node per cycle: the stateful adversary's
-            // lie wins over a one-shot injection on the same node (it would
-            // overwrite the injection next cycle anyway).
-            if self.adversary.overrides_injection(self.cycle, id) {
-                continue;
-            }
-            if self.telemetry.events_enabled() {
-                self.telemetry.value_corrupted(pos as u64);
-            }
-            let shard = &mut self.shards[IdLayout::shard_of(id) as usize];
-            let slot = IdLayout::sharded_slot_of(id) as usize;
-            // A hot node's authoritative state lives in the mirror;
-            // `corrupt_estimate` only overwrites the running approximation,
-            // which is exactly the mirrored word.
-            match shard.hot.slots.get_mut(slot).filter(|r| r.is_hot()) {
-                Some(record) => record.state = value,
-                None => {
-                    if let Some(node) = shard.arena.get_mut(id) {
-                        node.corrupt_estimate(value);
-                    }
-                }
-            }
-        }
-        let loss = self.injector.loss_probability();
+        // Fault lab first, entirely on the coordinator: crash bursts from
+        // the shard-count-agnostic churn stream, then colluder lies, leader
+        // capture and value injections over the global directory (hot-aware,
+        // see `ShardedLive`). A run with the empty plans takes none of these
+        // branches and consumes no randomness.
+        let cycle = self.cycle;
+        let (injector, adversary, mut live, churn_rng) = self.fault_parts();
+        let loss = enter_cycle(injector, adversary, cycle, &mut live, churn_rng);
         // Overlay maintenance in lockstep with the aggregation cycle, on the
         // coordinator (identical for both executors and every worker count);
         // NEWSCAST's randomness comes from its own labelled stream, so the

@@ -70,8 +70,8 @@ pub mod prelude {
     pub use aggregate_core::{theory, AggregationError, GossipMessage, ProtocolConfig};
     pub use gossip_analysis::{Summary, Table};
     pub use gossip_faults::{
-        Adversary, AdversaryPlan, AttackStrategy, CrashBurst, FaultInjector, FaultPlan, LossRamp,
-        PartitionWindow, PlanInjector, ValueInjection,
+        Adversary, AdversaryPlan, AttackStrategy, CrashBurst, FaultPlan, LossRamp, PartitionWindow,
+        PlanInjector, ValueInjection,
     };
     pub use gossip_net::{
         ClusterConfig, ClusterReport, GossipCluster, GossipRuntime, NodeEnv, RuntimeStats,

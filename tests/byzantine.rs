@@ -113,14 +113,18 @@ fn non_finite_attacks_and_empty_defenses_are_rejected_before_running() {
     .is_err());
 }
 
-/// Satellite regression: one corruption per node per cycle. A node that a
+/// Regression: one corruption per node per cycle. A node that a
 /// `ValueInjection` targets while the adversary is actively lying through it
-/// keeps the adversary's value; every other victim gets the injection.
-/// Message loss 1.0 freezes the exchange phase, so the post-cycle estimates
-/// are exactly the corruption outcome — any double-corruption would show.
+/// keeps the adversary's value; every other victim gets the injection. The
+/// rule lives in the shared fault prologue, so it is pinned on every runtime
+/// that runs the adversary lab: the reference engine, the sharded engine at
+/// one and four shards, and the wire cluster. Message loss 1.0 freezes the
+/// exchange phase, so the post-cycle estimates are exactly the corruption
+/// outcome — any double-corruption would show.
 #[test]
 fn value_injection_composes_with_colluders_without_double_corruption() {
     let n = 64usize;
+    let seed = 2026u64;
     let protocol = ProtocolConfig::builder()
         .cycles_per_epoch(100)
         .build()
@@ -138,29 +142,60 @@ fn value_injection_composes_with_colluders_without_double_corruption() {
         }],
         ..FaultPlan::default()
     };
-    let adversary = AdversaryPlan::with_strategy(0.5, AttackStrategy::FixedLie { value: 7.0 });
+    // Every runtime's estimates after one cycle, in initial-position order
+    // (there is no churn, so every directory still lists nodes that way).
+    let one_cycle = |adversary: AdversaryPlan| {
+        let mut reference =
+            GossipSimulation::with_adversary(config, &values, seed, plan.clone(), adversary)
+                .unwrap();
+        reference.run(1);
+        let sharded = |shards| {
+            let config = ShardedConfig {
+                base: config,
+                shards,
+                workers: Some(1),
+            };
+            let mut sim =
+                ShardedSimulation::with_adversary(config, &values, seed, plan.clone(), adversary)
+                    .unwrap();
+            sim.run(1);
+            sim.estimates()
+        };
+        let mut cluster =
+            VirtualCluster::with_adversary(config, &values, seed, plan.clone(), adversary).unwrap();
+        cluster.run(1);
+        [
+            ("reference engine", reference.estimates()),
+            ("1-shard engine", sharded(1)),
+            ("4-shard engine", sharded(4)),
+            ("wire cluster", cluster.estimates()),
+        ]
+    };
 
-    let mut sim =
-        GossipSimulation::with_adversary(config, &values, 2026, plan.clone(), adversary).unwrap();
-    let colluders = sim.adversary().colluders().len();
+    let adversary = AdversaryPlan::with_strategy(0.5, AttackStrategy::FixedLie { value: 7.0 });
+    let coin_seed = SeedSequence::new(seed).seed_for_labeled(0, ADVERSARY_STREAM);
+    let colludes: Vec<bool> = (0..n)
+        .map(|p| adversary.colludes_at(coin_seed, p))
+        .collect();
+    let colluders = colludes.iter().filter(|&&c| c).count();
     assert!(
         colluders > 0 && colluders < n,
         "the regression needs a mixed population, got {colluders}/{n} colluders"
     );
-    sim.run(1);
-    let estimates = sim.estimates();
-    assert_eq!(estimates.len(), n);
-    for (position, &estimate) in estimates.iter().enumerate() {
-        if sim.adversary().is_colluder(NodeId::new(position)) {
-            assert_eq!(
-                estimate, 7.0,
-                "colluder at position {position} must keep the adversary's lie"
-            );
-        } else {
-            assert_eq!(
-                estimate, 100.0,
-                "honest victim at position {position} must get the one-shot injection"
-            );
+    for (runtime, estimates) in one_cycle(adversary) {
+        assert_eq!(estimates.len(), n, "{runtime}");
+        for (position, &estimate) in estimates.iter().enumerate() {
+            if colludes[position] {
+                assert_eq!(
+                    estimate, 7.0,
+                    "{runtime}: colluder at position {position} must keep the adversary's lie"
+                );
+            } else {
+                assert_eq!(
+                    estimate, 100.0,
+                    "{runtime}: honest victim at position {position} must get the one-shot injection"
+                );
+            }
         }
     }
 
@@ -168,14 +203,14 @@ fn value_injection_composes_with_colluders_without_double_corruption() {
     // a not-yet-active adversary injects everyone, colluders included.
     let dormant = AdversaryPlan {
         start_cycle: 10,
-        ..AdversaryPlan::with_strategy(0.5, AttackStrategy::FixedLie { value: 7.0 })
+        ..adversary
     };
-    let mut sim = GossipSimulation::with_adversary(config, &values, 2026, plan, dormant).unwrap();
-    sim.run(1);
-    assert!(
-        sim.estimates().iter().all(|&estimate| estimate == 100.0),
-        "with the attack window closed, the injection must reach every node"
-    );
+    for (runtime, estimates) in one_cycle(dormant) {
+        assert!(
+            estimates.iter().all(|&estimate| estimate == 100.0),
+            "{runtime}: with the attack window closed, the injection must reach every node"
+        );
+    }
 }
 
 /// Colluder membership is a pure coin on initial-directory *positions*, so

@@ -436,7 +436,7 @@ fn uniform_sampler_is_bit_identical_to_the_pre_sampler_engines() {
 }
 
 /// Fault-lab refactor pin: the engines now route *every* run through a
-/// `FaultInjector`, with the empty [`FaultPlan`] as the default. That
+/// `PlanInjector`, with the empty [`FaultPlan`] as the default. That
 /// refactor must be invisible: an explicit empty plan reproduces the same
 /// golden pre-refactor trajectories as
 /// [`uniform_sampler_is_bit_identical_to_the_pre_sampler_engines`], on both
@@ -792,9 +792,12 @@ fn wire_cluster_is_bit_identical_to_the_cycle_engine() {
 }
 
 /// The identity holds under a full fault schedule — link failures, base
-/// loss, a partition window and a crash burst all draw from the same
-/// labelled streams on both sides, so the wire path reproduces the faulted
-/// engine trajectory draw for draw.
+/// loss, a partition window, a crash burst and value injections all draw
+/// from the same labelled streams on both sides — and under four adversary
+/// plans: none, a fixed lie, a windowed oscillation and leader capture
+/// against the median-of-3 defense. The wire path reproduces the
+/// engine trajectory draw for draw, and the two merged JSONL traces are
+/// byte-identical.
 #[test]
 fn wire_cluster_matches_the_engine_under_a_fault_plan() {
     let plan = || FaultPlan {
@@ -804,36 +807,95 @@ fn wire_cluster_matches_the_engine_under_a_fault_plan() {
             cycle: 4,
             fraction: 0.2,
         }],
+        injections: vec![
+            ValueInjection {
+                cycle: 2,
+                fraction: 0.1,
+                value: 90.0,
+            },
+            ValueInjection {
+                cycle: 7,
+                fraction: 0.2,
+                value: -40.0,
+            },
+        ],
         ..FaultPlan::with_partition(6, 12, 0.3)
     };
     let values: Vec<f64> = (0..250).map(|i| (i % 29) as f64).collect();
-    let config = || {
-        SimulationConfig::averaging(
-            ProtocolConfig::builder()
-                .cycles_per_epoch(9)
-                .build()
-                .unwrap(),
+    let averaging = SimulationConfig::averaging(
+        ProtocolConfig::builder()
+            .cycles_per_epoch(9)
+            .build()
+            .unwrap(),
+    );
+    let defended = SimulationConfig {
+        leader_policy: Some(LeaderPolicy::Fixed { probability: 0.02 }),
+        redundancy: Some(RedundancyConfig::median_of(3)),
+        ..averaging
+    };
+    let oscillate = AdversaryPlan {
+        start_cycle: 3,
+        stop_cycle: Some(11),
+        ..AdversaryPlan::with_strategy(
+            0.1,
+            AttackStrategy::Oscillate {
+                center: 14.0,
+                amplitude: 50.0,
+                period: 2,
+            },
         )
     };
-    let mut cluster = VirtualCluster::with_faults(config(), &values, 505, plan()).unwrap();
-    let wire = cluster.run(20);
-    let mut sim = GossipSimulation::with_faults(config(), &values, 505, plan()).unwrap();
-    let engine = sim.run(20);
-    assert!(wire.iter().any(|s| s.messages_lost > 0));
-    assert!(wire.iter().any(|s| s.exchanges_blocked > 0));
-    assert!(wire.last().unwrap().live_nodes < 250, "burst must fire");
-    assert_eq!(wire, engine, "faulted wire run diverges from the engine");
-    assert_eq!(
-        cluster
-            .estimates()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect::<Vec<u64>>(),
-        sim.estimates()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect::<Vec<u64>>(),
-    );
+    let cases = [
+        (averaging, AdversaryPlan::none()),
+        (
+            averaging,
+            AdversaryPlan::with_strategy(0.1, AttackStrategy::FixedLie { value: 1e3 }),
+        ),
+        (averaging, oscillate),
+        (defended, AdversaryPlan::leader_capture(1, 0.5)),
+    ];
+    for (config, adversary) in cases {
+        let mut cluster =
+            VirtualCluster::with_adversary(config, &values, 505, plan(), adversary).unwrap();
+        cluster.set_telemetry(TelemetryConfig::full());
+        let wire = cluster.run(20);
+        let mut sim =
+            GossipSimulation::with_adversary(config, &values, 505, plan(), adversary).unwrap();
+        sim.set_telemetry(TelemetryConfig::full());
+        let engine = sim.run(20);
+        assert!(wire.iter().any(|s| s.messages_lost > 0));
+        assert!(wire.iter().any(|s| s.exchanges_blocked > 0));
+        assert!(wire.last().unwrap().live_nodes < 250, "burst must fire");
+        assert_eq!(
+            wire, engine,
+            "{adversary}: faulted wire run diverges from the engine"
+        );
+        assert_eq!(
+            cluster
+                .estimates()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<u64>>(),
+            sim.estimates()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<u64>>(),
+            "{adversary}: node estimates diverge bitwise"
+        );
+        assert_eq!(
+            cluster.last_size_estimate().map(f64::to_bits),
+            sim.last_size_estimate().map(f64::to_bits),
+            "{adversary}: size estimates diverge"
+        );
+        let to_jsonl = epidemic_aggregation::telemetry::trace::to_jsonl;
+        let wire_trace = to_jsonl(&cluster.drain_trace());
+        assert!(wire_trace.contains("value_corrupted"));
+        assert_eq!(
+            wire_trace,
+            to_jsonl(&sim.drain_trace()),
+            "{adversary}: merged traces differ"
+        );
+    }
 }
 
 /// The identity holds with live NEWSCAST peer sampling: both runtimes build
@@ -961,7 +1023,13 @@ fn variance_experiments_are_reproducible() {
 /// counts, because every event is keyed by shard-count-invariant global
 /// directory positions or global sequence numbers and merged through the
 /// distribution-independent sort in `merge_events`.
-fn traced_sharded_run(seed: u64, shards: usize, workers: Option<usize>) -> (Vec<u64>, String) {
+fn traced_sharded_run(
+    seed: u64,
+    shards: usize,
+    workers: Option<usize>,
+    plan: FaultPlan,
+    adversary: AdversaryPlan,
+) -> (Vec<u64>, String) {
     let values: Vec<f64> = (0..300).map(|i| (i % 37) as f64).collect();
     let protocol = ProtocolConfig::builder()
         .cycles_per_epoch(8)
@@ -978,7 +1046,8 @@ fn traced_sharded_run(seed: u64, shards: usize, workers: Option<usize>) -> (Vec<
         shards,
         workers,
     };
-    let mut sim = ShardedSimulation::new(config, &values, seed).unwrap();
+    let mut sim =
+        ShardedSimulation::with_adversary(config, &values, seed, plan, adversary).unwrap();
     sim.set_telemetry(TelemetryConfig::full());
     for cycle in 0..30 {
         for i in 0..5 {
@@ -997,17 +1066,31 @@ fn traced_sharded_run(seed: u64, shards: usize, workers: Option<usize>) -> (Vec<
     (bits, trace)
 }
 
+/// The (shards, workers) grid the traced runs are compared over, against the
+/// single-shard sequential reference.
+const TRACED_GRID: [(usize, Option<usize>); 4] =
+    [(2, None), (4, Some(1)), (4, Some(3)), (8, Some(4))];
+
 #[test]
 fn tracing_leaves_sharded_estimates_bit_identical_across_shards_and_workers() {
     let untraced = sharded_summaries(2024, 1, None, 0.1).1;
-    let (reference_bits, reference_trace) = traced_sharded_run(2024, 1, None);
+    let traced = |shards, workers| {
+        traced_sharded_run(
+            2024,
+            shards,
+            workers,
+            FaultPlan::none(),
+            AdversaryPlan::none(),
+        )
+    };
+    let (reference_bits, reference_trace) = traced(1, None);
     assert_eq!(
         reference_bits, untraced,
         "enabling full tracing changed the node estimates"
     );
     assert!(!reference_trace.is_empty());
-    for (shards, workers) in [(2, None), (4, Some(1)), (4, Some(3)), (8, Some(4))] {
-        let (bits, trace) = traced_sharded_run(2024, shards, workers);
+    for (shards, workers) in TRACED_GRID {
+        let (bits, trace) = traced(shards, workers);
         assert_eq!(
             bits, reference_bits,
             "{shards}-shard/{workers:?}-worker traced estimates drifted"
@@ -1019,13 +1102,58 @@ fn tracing_leaves_sharded_estimates_bit_identical_across_shards_and_workers() {
     }
 }
 
+/// The trace identity holds under an adversary plan too: a crash burst, two
+/// value injections and a colluding set re-asserting a fixed lie, on top of
+/// the harness's 10 % loss and churn. Colluders are applied in
+/// initial-position order, so their `value_corrupted` events never depend on
+/// the identifier layout (which embeds the shard count). Link failures and
+/// partitions are left out: their coins key on identifiers, so their fault
+/// maps are documented as shard-dependent.
+#[test]
+fn adversary_plan_traces_are_byte_identical_across_shards_and_workers() {
+    let plan = || FaultPlan {
+        crashes: vec![CrashBurst {
+            cycle: 4,
+            fraction: 0.1,
+        }],
+        injections: vec![
+            ValueInjection {
+                cycle: 2,
+                fraction: 0.1,
+                value: 500.0,
+            },
+            ValueInjection {
+                cycle: 9,
+                fraction: 0.05,
+                value: -200.0,
+            },
+        ],
+        ..FaultPlan::default()
+    };
+    let adversary = AdversaryPlan::with_strategy(0.1, AttackStrategy::FixedLie { value: 1e3 });
+    let (reference_bits, reference_trace) = traced_sharded_run(505, 1, None, plan(), adversary);
+    assert!(reference_trace.contains("value_corrupted"));
+    for (shards, workers) in TRACED_GRID {
+        let (bits, trace) = traced_sharded_run(505, shards, workers, plan(), adversary);
+        assert_eq!(
+            bits, reference_bits,
+            "{shards}-shard/{workers:?}-worker adversary estimates drifted"
+        );
+        assert_eq!(
+            trace, reference_trace,
+            "adversary trace must be byte-identical at {shards} shards / {workers:?} workers"
+        );
+    }
+}
+
 /// Telemetry tentpole pin, part 2: two same-seed traced runs emit
 /// byte-identical merged JSONL — the flight recorder consumes no randomness
 /// and stamps virtual (never wall-clock) time.
 #[test]
 fn same_seed_traced_runs_produce_byte_identical_jsonl() {
-    let (_, a) = traced_sharded_run(7, 4, Some(4));
-    let (_, b) = traced_sharded_run(7, 4, Some(4));
+    let traced = || traced_sharded_run(7, 4, Some(4), FaultPlan::none(), AdversaryPlan::none());
+    let (_, a) = traced();
+    let (_, b) = traced();
     assert!(!a.is_empty());
     assert_eq!(a, b, "same-seed traces must be byte-identical");
 }
