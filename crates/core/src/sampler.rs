@@ -154,9 +154,15 @@ pub trait PeerSampler: fmt::Debug {
     }
 
     /// An exchange attempt from `initiator` towards the sampled `peer`
-    /// failed because the peer is no longer live. Samplers backed by cached
-    /// views drop the stale descriptor here (tail-drop healing); the default
-    /// is a no-op.
+    /// failed because the peer is no longer live (or the link to it is
+    /// down). Samplers backed by cached views drop the stale descriptor here
+    /// (tail-drop healing); the default is a no-op.
+    ///
+    /// Implementations must touch only `initiator`'s own sampling state.
+    /// Engines rely on it: every node initiates at most once per cycle, so
+    /// no later pick of the cycle reads what a report changes, and an engine
+    /// may draw a block of picks before it reports that block's failed
+    /// links without changing any draw.
     fn peer_failed(&mut self, initiator: NodeId, peer: NodeId) {
         let _ = (initiator, peer);
     }

@@ -25,13 +25,14 @@
 //!
 //! A coordinator pass derives the cycle's schedule: every live node
 //! initiates once, in a shuffled order realising `GETPAIR_SEQ`, against a
-//! uniformly drawn peer. Each exchange is then assigned a **round**: the
-//! earliest round in which neither endpoint is used by an earlier exchange
-//! (`round = 1 + max(last_round(initiator), last_round(peer))`). Within a
-//! round all exchanges are node-disjoint, so they may execute concurrently
-//! in any order; across rounds, barriers enforce the dependency order. The
-//! result is *exactly* the state the sequential schedule produces, which is
-//! what makes node values shard-count invariant.
+//! peer drawn from the peer-sampling layer. Each exchange is then assigned a
+//! **round**: the earliest round in which neither endpoint is used by an
+//! earlier exchange (`round = 1 + max(last_round(initiator),
+//! last_round(peer))`). Within a round all exchanges are node-disjoint, so
+//! they may execute concurrently in any order; across rounds, barriers
+//! enforce the dependency order. The result is *exactly* the state the
+//! sequential schedule produces, which is what makes node values
+//! shard-count invariant.
 //!
 //! Each round runs as a deterministic two-phase (plus apply) protocol per
 //! shard worker:
@@ -46,6 +47,10 @@
 //!   batched back to the initiators' shards;
 //! * **phase C** — initiator shards apply the replies
 //!   ([`ExchangeCore::complete`]).
+//!
+//! With one worker, whatever the sampler, the engine skips rounds,
+//! mailboxes and barriers: it applies the same schedule in sequence order
+//! over the struct-of-arrays mirror of the hot nodes ([`crate::soa`]).
 //!
 //! Per-cycle telemetry is accumulated in per-shard [`OnlineStats`] and
 //! merged in shard order (Chan's parallel Welford update), so a million-node
@@ -245,9 +250,10 @@ struct Shard {
     /// Per slot: position of the occupant in the global live directory.
     global_pos: Vec<u32>,
     /// The struct-of-arrays mirror of this shard's *hot* nodes (see
-    /// [`crate::soa`]): while the single-worker SoA executor is resident,
-    /// hot records are authoritative and the matching `ProtocolNode`s are
-    /// stale until synced back at a flush point.
+    /// [`crate::soa`]): while the single-worker executor is resident (every
+    /// one-worker cycle, whatever the sampler), hot records are
+    /// authoritative and the matching `ProtocolNode`s are stale until synced
+    /// back at a flush point.
     hot: HotStore,
     /// This shard's slice of the flight recorder: worker-side exchange
     /// outcomes (`MessageLost` / `ExchangeCompleted`), keyed by global
@@ -407,6 +413,38 @@ struct ShardCycleOut {
     estimate_stats: OnlineStats,
 }
 
+impl ShardCycleOut {
+    fn new(tally: ExchangeTally) -> Self {
+        ShardCycleOut {
+            tally,
+            ..ShardCycleOut::default()
+        }
+    }
+
+    /// The per-node end-of-cycle step on the node path, shared by both
+    /// executors' end-of-cycle passes: tick the epoch machinery, push a
+    /// completing full-participation epoch's estimate and size estimate,
+    /// then push the (post-restart) estimate while the node is cache-hot.
+    /// Per-node independence makes this bit-identical to a
+    /// tick-all-then-read-all split in live order.
+    fn end_node_cycle(&mut self, node: &mut ProtocolNode, redundancy: Option<MergePolicy>) {
+        if let Some(result) = node.end_cycle() {
+            self.completed_epoch = self.completed_epoch.max(Some(result.epoch));
+            if result.full_participation {
+                if let Some(estimate) = result.default_estimate() {
+                    self.epoch_stats.push(estimate);
+                }
+                if let Some(size) = epoch_size_estimate(&result, redundancy) {
+                    self.size_stats.push(size);
+                }
+            }
+        }
+        if let Some(estimate) = node.estimate() {
+            self.estimate_stats.push(estimate);
+        }
+    }
+}
+
 /// The sharded multi-threaded cycle engine. See the module documentation for
 /// the execution and determinism model.
 #[derive(Debug)]
@@ -427,13 +465,14 @@ pub struct ShardedSimulation {
     shard_exchange_totals: Vec<usize>,
     sched: ScheduleBuffers,
     /// Whether the per-shard [`HotStore`]s currently hold the authoritative
-    /// state of the hot nodes (single-worker SoA executor). While `true`,
-    /// every read or node-path mutation of a hot node must go through a
-    /// flush/resync; `flush_soa` drops back to all-node representation.
+    /// state of the hot nodes: set by every single-worker cycle, whatever
+    /// the sampler. While `true`, every read or node-path mutation of a hot
+    /// node must go through a flush/resync; `flush_soa` drops back to the
+    /// all-node representation (threaded cycles, leader elections).
     soa_resident: bool,
-    /// Reusable shuffle buffer for the SoA executor: one `u64` per live node
-    /// carrying `directory_position << 32 | packed_endpoint`, so after the
-    /// shuffle both the rejection compare (high half) and the initiator's
+    /// Reusable shuffle buffer for the single-worker executor: one `u64` per
+    /// live node carrying `directory_position << 32 | packed_endpoint`, so
+    /// after the shuffle both the initiator's position (high half) and its
     /// shard/slot (low half) come from the entry itself — no random
     /// directory lookup per initiator.
     soa_order: Vec<u64>,
@@ -898,12 +937,8 @@ impl ShardedSimulation {
             });
         }
         let (outs, exchanges_blocked) = if self.effective_workers() == 1 {
-            if self.soa_allowed() {
-                self.ensure_soa_resident();
-                self.run_cycle_sequential_soa(loss)
-            } else {
-                self.run_cycle_sequential(loss)
-            }
+            self.ensure_soa_resident();
+            self.run_cycle_sequential_soa(loss)
         } else {
             self.flush_soa();
             self.run_cycle_threaded(loss)
@@ -927,10 +962,7 @@ impl ShardedSimulation {
             estimate_stats.merge(&out.estimate_stats);
             epoch_stats.merge(&out.epoch_stats);
             size_stats.merge(&out.size_stats);
-            completed_epoch = match (completed_epoch, out.completed_epoch) {
-                (Some(a), Some(b)) => Some(std::cmp::max::<u64>(a, b)),
-                (a, b) => a.or(b),
-            };
+            completed_epoch = completed_epoch.max(out.completed_epoch);
         }
 
         if self.telemetry.events_enabled() {
@@ -979,175 +1011,6 @@ impl ShardedSimulation {
         summary
     }
 
-    /// Single-worker executor: applies the cycle's schedule sequentially in
-    /// global sequence order with fused exchanges. By the round-equivalence
-    /// argument (see the module docs) this is bit-identical to the threaded
-    /// executor for the same shard count — `tests/determinism.rs` and the
-    /// unit tests pin it — while skipping the round computation, mailboxes
-    /// and barriers that only pay off with real parallelism.
-    fn run_cycle_sequential(&mut self, loss: f64) -> (Vec<ShardCycleOut>, usize) {
-        let shard_count = self.config.shards;
-        let redundancy = self.config.base.redundancy.map(|r| r.merge);
-        let lossy = loss > 0.0;
-        let loss_seeds =
-            // stream: per-exchange message-loss coins, re-derived each cycle
-            SeedSequence::new(self.seeds.seed_for_labeled(self.cycle as u64, "cycle-loss"));
-        let n = self.global_live.len();
-        let mut rng = self
-            .seeds
-            // stream: per-cycle initiator shuffle and peer picks
-            .rng_for_labeled(self.cycle as u64, "cycle-schedule");
-        let order = &mut self.sched.order;
-        order.clear();
-        order.extend(0..n as u32);
-        order.shuffle(&mut rng);
-
-        let mut tallies = vec![ExchangeTally::default(); shard_count];
-        let mut exchanges_blocked = 0usize;
-        let mut scratch = ExchangeScratch::new();
-        let shards = &mut self.shards;
-        let global_live = &self.global_live;
-        let sampler = &mut self.sampler;
-        let injector = &self.injector;
-        let telemetry = &mut self.telemetry;
-        let record = telemetry.events_enabled();
-        // Exchanges are executed in blocks: peers for the whole block are
-        // drawn first (the same draw sequence as one-at-a-time), then every
-        // endpoint node is *touched* with plain reads, then the block runs.
-        // The touch pass issues up to 2·BLOCK independent loads whose cache
-        // misses overlap, where the execute pass alone would serialise one
-        // ~L3-latency miss pair per exchange — at 10⁵–10⁶ nodes the node
-        // array is far beyond L2 and this roughly halves the cycle time.
-        const BLOCK: usize = 64;
-        let mut block: Vec<(NodeId, NodeId)> = Vec::with_capacity(BLOCK);
-        if n >= 2 {
-            // Dense sequence numbers over *successful* picks — the same
-            // numbering `build_schedule` gives the threaded executor (a
-            // sampler may fail a pick, e.g. an empty NEWSCAST view, so the
-            // count is not simply the initiator's order position).
-            let mut next_seq = 0usize;
-            let mut start = 0usize;
-            while start < n {
-                let end = (start + BLOCK).min(n);
-                block.clear();
-                for &ipos in &order[start..end] {
-                    let directory = GlobalDirectory {
-                        live: global_live,
-                        shards,
-                    };
-                    let Some(peer_id) =
-                        sample_live_peer(sampler.as_mut(), &directory, ipos as usize, &mut rng)
-                    else {
-                        continue;
-                    };
-                    // Fault-lab veto, applied at the same point as the
-                    // threaded executor's schedule construction so both
-                    // executors number the surviving exchanges identically.
-                    // The failed contact is reported to the sampler so
-                    // cached views tail-drop unreachable neighbours.
-                    let initiator_id = global_live[ipos as usize];
-                    if injector.link_blocked(initiator_id, peer_id) {
-                        sampler.peer_failed(initiator_id, peer_id);
-                        exchanges_blocked += 1;
-                        if record {
-                            telemetry.exchange_vetoed(
-                                u64::from(ipos),
-                                u64::from(global_pos_of(shards, peer_id)),
-                            );
-                        }
-                        continue;
-                    }
-                    block.push((initiator_id, peer_id));
-                }
-                let mut warm = 0u64;
-                for &(initiator_id, peer_id) in &block {
-                    for id in [initiator_id, peer_id] {
-                        let shard = IdLayout::shard_of(id) as usize;
-                        let slot = IdLayout::sharded_slot_of(id);
-                        if let Some(node) = shards[shard].arena.node_at_slot(slot) {
-                            // One read per cache line the fused exchange
-                            // needs (epoch state, instance state, led-map
-                            // root), so the execute pass below hits L1.
-                            warm ^= node.current_epoch();
-                            warm ^= node.estimate().unwrap_or(0.0).to_bits();
-                            warm ^= u64::from(node.has_only_default_instance());
-                        }
-                    }
-                }
-                std::hint::black_box(warm);
-                for &(initiator_id, peer_id) in block.iter() {
-                    let seq = next_seq;
-                    next_seq += 1;
-                    if record {
-                        // Same placement as `build_schedule`: a begun event
-                        // for every surviving pick, keyed by directory
-                        // positions and the executor-agnostic seq.
-                        telemetry.exchange_begun(
-                            seq as u64,
-                            u64::from(global_pos_of(shards, initiator_id)),
-                            u64::from(global_pos_of(shards, peer_id)),
-                        );
-                    }
-                    let initiator_shard = IdLayout::shard_of(initiator_id) as usize;
-                    let peer_shard = IdLayout::shard_of(peer_id) as usize;
-                    let initiator_slot = IdLayout::sharded_slot_of(initiator_id);
-                    let peer_slot = IdLayout::sharded_slot_of(peer_id);
-                    let (initiator, peer) = if initiator_shard == peer_shard {
-                        shards[initiator_shard]
-                            .arena
-                            .pair_mut(initiator_slot, peer_slot)
-                    } else {
-                        let (a, b) = shard_pair_mut(shards, initiator_shard, peer_shard);
-                        (
-                            a.arena.node_at_slot_mut(initiator_slot),
-                            b.arena.node_at_slot_mut(peer_slot),
-                        )
-                    };
-                    let (Some(initiator), Some(peer)) = (initiator, peer) else {
-                        continue;
-                    };
-                    let seed = if lossy {
-                        loss_seeds.seed_for_run(seq as u64)
-                    } else {
-                        0
-                    };
-                    let mut lost = exchange_loss(loss, seed);
-                    let exch_before = tallies[initiator_shard].exchanges;
-                    let lost_before = tallies[initiator_shard].messages_lost;
-                    ExchangeCore::exchange(
-                        initiator,
-                        peer,
-                        &mut scratch,
-                        &mut lost,
-                        &mut tallies[initiator_shard],
-                    );
-                    if record {
-                        record_exchange_outcome(
-                            &mut shards[initiator_shard].recorder,
-                            seq as u64,
-                            tallies[initiator_shard].exchanges > exch_before,
-                            tallies[initiator_shard].messages_lost - lost_before,
-                        );
-                    }
-                }
-                start = end;
-            }
-        }
-        let outs = shards
-            .iter_mut()
-            .zip(tallies)
-            .map(|(shard, tally)| end_of_cycle_pass(shard, tally, redundancy))
-            .collect();
-        (outs, exchanges_blocked)
-    }
-
-    /// Whether the struct-of-arrays executor may run: its inline peer picks
-    /// replicate exactly the uniform complete-membership sampler; overlay and
-    /// NEWSCAST samplers keep the node-path executors.
-    fn soa_allowed(&self) -> bool {
-        matches!(self.sampler.config(), SamplerConfig::UniformComplete)
-    }
-
     /// Loads every currently-hot node into the per-shard dense mirrors and
     /// marks the mirrors authoritative. One streaming pass; a no-op while
     /// already resident.
@@ -1182,21 +1045,28 @@ impl ShardedSimulation {
         self.soa_resident = false;
     }
 
-    /// Single-worker struct-of-arrays executor: same schedule, same draws,
-    /// same arithmetic as [`ShardedSimulation::run_cycle_sequential`] — the
-    /// determinism suite pins the bit-identity — but the steady-state work
-    /// runs over the dense per-shard [`HotStore`]s:
+    /// Single-worker executor, for every sampler: applies the cycle's
+    /// schedule sequentially in global sequence order with fused exchanges.
+    /// It draws the schedule [`ShardedSimulation::build_schedule`] draws for
+    /// the threaded executor — same picks, same vetoes, same sequence
+    /// numbers — so by the round-equivalence argument (see the module docs)
+    /// the two are bit-identical for the same shard count, which the
+    /// determinism suite pins; it skips the round computation, mailboxes and
+    /// barriers that only pay off with real parallelism. The steady-state
+    /// work runs over the dense per-shard [`HotStore`]s:
     ///
-    /// * the initiator shuffle and the peer picks consume the
-    ///   `cycle-schedule` stream through block-buffered raw words
-    ///   ([`soa::shuffle_batched`] / [`WordBuffer`]), with the uniform
-    ///   sampler's pick loop inlined — zero virtual calls per pick;
+    /// * the initiator shuffle consumes the `cycle-schedule` stream through
+    ///   block-buffered raw words ([`soa::shuffle_batched`] draws exactly the
+    ///   n − 1 words `SliceRandom::shuffle` draws); uniform complete
+    ///   sampling continues on a [`WordBuffer`] with the sampler's pick loop
+    ///   inlined — zero virtual calls per pick — and every other sampler
+    ///   picks through [`sample_live_peer`] on the same stream;
     /// * per-exchange loss coins are pre-drawn per block from the
     ///   `cycle-loss` stream via [`SeedSequence::fill_block`] (each
     ///   exchange's coins still come from its own `seed_for_run(seq)`
     ///   stream, in draw order — bit-identical to the lazy closure);
     /// * an exchange between two hot nodes in the same epoch runs
-    ///   [`ExchangeCore::exchange_fused_raw`] over two 24-byte records — one
+    ///   [`ExchangeCore::exchange_fused_raw`] over two 16-byte records — one
     ///   cache line per endpoint instead of two-plus; any other exchange
     ///   flushes its endpoints and takes the node path, then resyncs.
     fn run_cycle_sequential_soa(&mut self, loss: f64) -> (Vec<ShardCycleOut>, usize) {
@@ -1220,8 +1090,8 @@ impl ShardedSimulation {
         // low half so the initiator's shard/slot ride along through the
         // shuffle for free. The Fisher–Yates swap sequence is a function of
         // the drawn words and the length only, so shuffling these u64
-        // entries applies the exact permutation the reference executor's
-        // u32 position shuffle applies.
+        // entries applies the exact permutation `build_schedule`'s u32
+        // position shuffle applies.
         let packed_dir = &mut self.soa_packed;
         packed_dir.clear();
         packed_dir.extend(self.global_live.iter().map(|&id| pack_endpoint(id)));
@@ -1245,23 +1115,6 @@ impl ShardedSimulation {
         let telemetry = &mut self.telemetry;
         let record = telemetry.events_enabled();
 
-        // One fused pipeline per block of initiators: draw the block's peer
-        // picks and touch the candidate directory lines; resolve the pairs
-        // (link vetoes) and touch every endpoint's hot record; pre-draw the
-        // block's loss coins; execute from cache. Each stage issues a
-        // block's worth of independent loads, so the misses overlap instead
-        // of serialising — at 10⁷ nodes every random access is a DRAM miss
-        // and this overlap is the whole game.
-        //
-        // Draw-stream order is untouched: pick words are consumed in
-        // initiator order across blocks (the rejection loop — re-draw while
-        // the candidate is the initiator — is the uniform sampler's,
-        // inlined; directory picks are live by construction, so
-        // `sample_live_peer` adds nothing further). The link veto runs only
-        // when the fault lab can block links this cycle (`links_can_block`)
-        // and moves *between* the block's draws and its executions — legal
-        // because `link_blocked` is pure and `peer_failed` is a no-op for
-        // the uniform sampler (the only sampler routed here).
         // Four stages per block of initiators, each a tight loop so dozens
         // of iterations fit the out-of-order window and the stage's random
         // loads (every one a DRAM — and TLB — miss at 10⁷ nodes) overlap
@@ -1272,7 +1125,17 @@ impl ShardedSimulation {
         // interleaved the stages across blocks in one master loop measured
         // *slower* — the fat loop body starves the reorder buffer — so the
         // simple staged form stands.)
+        //
+        // Draw-stream order is untouched: picks are drawn in initiator order
+        // across blocks, exactly as `build_schedule` draws them. The link
+        // veto moves *between* the block's draws and its executions, which
+        // is legal because `link_blocked` is pure and
+        // `peer_failed(initiator, _)` only touches the initiator's own
+        // sampling state — and each position initiates once per cycle, so no
+        // later pick reads what a deferred report changes.
         const BLOCK: usize = 128;
+        const NO_PEER: u32 = u32::MAX;
+        let uniform = matches!(sampler.config(), SamplerConfig::UniformComplete);
         let check_links = injector.links_can_block();
         let mut words = WordBuffer::new();
         let mut cand = [0u32; BLOCK];
@@ -1284,61 +1147,83 @@ impl ShardedSimulation {
         while n >= 2 && start < n {
             let end = (start + BLOCK).min(n);
             let count = end - start;
-            // Stage 1: the block's peer picks (the rejection compare uses
-            // only the entry's high half — no memory dependence), then the
-            // touch loop over the candidate directory lines.
-            for k in 0..count {
-                let ipos = (order[start + k] >> 32) as usize;
-                let mut candidate;
-                loop {
-                    candidate = soa::index_from_word(words.next(&mut rng), n);
-                    if candidate != ipos {
-                        break;
+            // Stage 1: the block's peer picks as directory positions, then
+            // the touch loop over the candidate directory lines. The uniform
+            // complete sampler's rejection loop — re-draw while the candidate
+            // is the initiator — is inlined over block-buffered words (the
+            // compare uses only the entry's high half, no memory dependence;
+            // directory picks are live by construction, so `sample_live_peer`
+            // adds nothing). Any other sampler is asked through
+            // `sample_live_peer` on the unbuffered stream, because the buffer
+            // reads ahead; a failed pick is `NO_PEER` and gets no sequence
+            // number.
+            if uniform {
+                for k in 0..count {
+                    let ipos = (order[start + k] >> 32) as usize;
+                    let mut candidate;
+                    loop {
+                        candidate = soa::index_from_word(words.next(&mut rng), n);
+                        if candidate != ipos {
+                            break;
+                        }
                     }
+                    cand[k] = candidate as u32;
                 }
-                cand[k] = candidate as u32;
+            } else {
+                let directory = GlobalDirectory {
+                    live: global_live,
+                    shards,
+                };
+                for k in 0..count {
+                    let ipos = (order[start + k] >> 32) as usize;
+                    cand[k] = sample_live_peer(sampler.as_mut(), &directory, ipos, &mut rng)
+                        .map_or(NO_PEER, |peer| global_pos_of(shards, peer));
+                }
             }
             let mut warm = 0u32;
             for &candidate in &cand[..count] {
-                warm ^= packed_dir[candidate as usize];
+                if let Some(&packed) = packed_dir.get(candidate as usize) {
+                    warm ^= packed;
+                }
             }
             std::hint::black_box(warm);
-            // Stage 2: resolve pairs (link vetoes — the veto moves between
-            // the block's draws and its executions, legal because
-            // `link_blocked` is pure and `peer_failed` is a no-op for the
-            // uniform sampler), then touch every endpoint's hot record in
-            // its own tight loop. The touch loads' values are discarded, so
-            // the cold path's flush/resync writes can never be made stale.
+            // Stage 2: resolve pairs (link vetoes), then touch every
+            // endpoint's hot record in its own tight loop. The touch loads'
+            // values are discarded, so the cold path's flush/resync writes
+            // can never be made stale.
             let mut survivors = 0usize;
             for k in 0..count {
+                if cand[k] == NO_PEER {
+                    continue;
+                }
                 let entry = order[start + k];
-                let initiator = entry as u32;
-                let peer = packed_dir[cand[k] as usize];
-                if check_links {
-                    let initiator_id = global_live[(entry >> 32) as usize];
-                    let peer_id = global_live[cand[k] as usize];
-                    if injector.link_blocked(initiator_id, peer_id) {
-                        sampler.peer_failed(initiator_id, peer_id);
-                        exchanges_blocked += 1;
-                        if record {
-                            telemetry.exchange_vetoed(entry >> 32, u64::from(cand[k]));
-                        }
-                        continue;
-                    }
+                let ipos = (entry >> 32) as u32;
+                if check_links
+                    && veto_link(
+                        injector,
+                        sampler.as_mut(),
+                        telemetry,
+                        global_live,
+                        ipos,
+                        cand[k],
+                    )
+                {
+                    exchanges_blocked += 1;
+                    continue;
                 }
                 if record {
-                    // Identical to the reference pick loop: a begun event per
+                    // Identical to `build_schedule`: a begun event per
                     // surviving pick, numbered densely in pick order. (The
                     // recording interleave differs — vetoes and beguns share
                     // this stage here — but the events' sort keys restore the
                     // same total order after the merge.)
                     telemetry.exchange_begun(
                         (next_seq + survivors) as u64,
-                        entry >> 32,
+                        u64::from(ipos),
                         u64::from(cand[k]),
                     );
                 }
-                block_pairs[survivors] = (initiator, peer);
+                block_pairs[survivors] = (entry as u32, packed_dir[cand[k] as usize]);
                 survivors += 1;
             }
             let mut warm = 0u32;
@@ -1354,8 +1239,8 @@ impl ShardedSimulation {
             }
             std::hint::black_box(warm);
             // Stage 3: the block's loss coins. Exchange sequence numbers are
-            // dense over survivors, exactly as the reference's pick loop
-            // hands them out.
+            // dense over survivors, exactly as `build_schedule` hands them
+            // out.
             if lossy {
                 loss_seeds.fill_block(next_seq as u64, &mut coin_seeds[..survivors]);
                 for (k, &seed) in coin_seeds[..survivors].iter().enumerate() {
@@ -1582,18 +1467,18 @@ impl ShardedSimulation {
                 else {
                     continue;
                 };
-                if injector.link_blocked(global_live[ipos as usize], peer_id) {
-                    sampler.peer_failed(global_live[ipos as usize], peer_id);
+                let ppos = global_pos_of(shards, peer_id);
+                if veto_link(
+                    injector,
+                    sampler.as_mut(),
+                    telemetry,
+                    global_live,
+                    ipos,
+                    ppos,
+                ) {
                     exchanges_blocked += 1;
-                    if record {
-                        telemetry.exchange_vetoed(
-                            u64::from(ipos),
-                            u64::from(global_pos_of(shards, peer_id)),
-                        );
-                    }
                     continue;
                 }
-                let ppos = global_pos_of(shards, peer_id);
                 let round = sched.next_round[ipos as usize].max(sched.next_round[ppos as usize]);
                 sched.next_round[ipos as usize] = round + 1;
                 sched.next_round[ppos as usize] = round + 1;
@@ -1779,6 +1664,30 @@ pub fn cycle_telemetry_table(
     table
 }
 
+/// The fault lab's link veto for a sampled pair of directory positions, the
+/// one veto site of both executors' schedule construction: a blocked pair is
+/// reported to the sampler (cached views tail-drop the unreachable
+/// neighbour) and recorded, and the caller gives it no sequence number.
+fn veto_link(
+    injector: &PlanInjector,
+    sampler: &mut dyn PeerSampler,
+    telemetry: &mut TelemetrySink,
+    global_live: &[NodeId],
+    ipos: u32,
+    ppos: u32,
+) -> bool {
+    let initiator = global_live[ipos as usize];
+    let peer = global_live[ppos as usize];
+    if !injector.link_blocked(initiator, peer) {
+        return false;
+    }
+    sampler.peer_failed(initiator, peer);
+    if telemetry.events_enabled() {
+        telemetry.exchange_vetoed(u64::from(ipos), u64::from(ppos));
+    }
+    true
+}
+
 /// Packs a node identifier's `(shard, slot)` into one word for the SoA
 /// executor's pair list: shard in the high byte, slot (20 bits) below.
 #[inline]
@@ -1804,10 +1713,6 @@ fn shard_pair_mut(shards: &mut [Shard], a: usize, b: usize) -> (&mut Shard, &mut
     }
 }
 
-/// End-of-cycle phase for one shard: epoch book-keeping on every live node,
-/// then the telemetry pass — both shard-local, streamed into per-shard
-/// stats. Shared verbatim by the sequential and threaded executors so their
-/// outputs are bit-identical.
 /// Per-node size-estimate extraction shared by the end-of-cycle passes:
 /// the defended estimator (median-of-k / trimmed merge over per-instance
 /// estimates) when redundancy is configured, the undefended state-pooling
@@ -1823,56 +1728,29 @@ fn epoch_size_estimate(
     }
 }
 
+/// End-of-cycle phase of the threaded executor for one shard: the per-node
+/// step on every live node in live order, streamed into per-shard stats.
 fn end_of_cycle_pass(
     shard: &mut Shard,
     tally: ExchangeTally,
     redundancy: Option<MergePolicy>,
 ) -> ShardCycleOut {
-    let mut completed_epoch = None;
-    let mut epoch_stats = OnlineStats::new();
-    let mut size_stats = OnlineStats::new();
-    let mut estimate_stats = OnlineStats::new();
-    // One fused pass: tick the epoch machinery and read the (post-restart)
-    // estimate while the node is cache-hot. Per-node independence makes this
-    // bit-identical to a tick-all-then-read-all split in live order.
+    let mut out = ShardCycleOut::new(tally);
     for pos in 0..shard.arena.len() {
         let slot = shard.arena.live_slots()[pos];
-        let Some(node) = shard.arena.node_at_slot_mut(slot) else {
-            continue;
-        };
-        if let Some(result) = node.end_cycle() {
-            completed_epoch = Some(match completed_epoch {
-                Some(epoch) => std::cmp::max::<u64>(epoch, result.epoch),
-                None => result.epoch,
-            });
-            if result.full_participation {
-                if let Some(estimate) = result.default_estimate() {
-                    epoch_stats.push(estimate);
-                }
-                if let Some(size) = epoch_size_estimate(&result, redundancy) {
-                    size_stats.push(size);
-                }
-            }
-        }
-        if let Some(estimate) = node.estimate() {
-            estimate_stats.push(estimate);
+        if let Some(node) = shard.arena.node_at_slot_mut(slot) {
+            out.end_node_cycle(node, redundancy);
         }
     }
-    ShardCycleOut {
-        tally,
-        completed_epoch,
-        epoch_stats,
-        size_stats,
-        estimate_stats,
-    }
+    out
 }
 
-/// End-of-cycle phase of the struct-of-arrays executor: hot nodes tick,
+/// End-of-cycle phase of the single-worker executor: hot nodes tick,
 /// restart and report entirely inside the dense mirror; cold nodes take the
-/// ordinary [`end_of_cycle_pass`] branch and are re-examined for promotion
-/// afterwards (joining nodes whose epoch just started, ex-leaders whose led
-/// instances just cleared). Iteration order, stat-push order and epoch
-/// book-keeping replicate `ProtocolNode::end_cycle` exactly:
+/// per-node step ([`ShardCycleOut::end_node_cycle`]) and are re-examined for
+/// promotion afterwards (joining nodes whose epoch just started, ex-leaders
+/// whose led instances just cleared). Iteration order, stat-push order and
+/// epoch book-keeping replicate `ProtocolNode::end_cycle` exactly:
 ///
 /// * a hot node participates from its epoch's start by definition, so a
 ///   completing epoch always pushes its (pre-restart) default estimate;
@@ -1888,81 +1766,51 @@ fn end_of_cycle_pass_soa(
     cycles_per_epoch: u32,
     redundancy: Option<MergePolicy>,
 ) -> ShardCycleOut {
-    let mut completed_epoch = None;
-    let mut epoch_stats = OnlineStats::new();
-    let mut size_stats = OnlineStats::new();
-    let mut estimate_stats = OnlineStats::new();
+    let mut out = ShardCycleOut::new(tally);
     for pos in 0..shard.arena.len() {
         let slot = shard.arena.live_slots()[pos];
-        let hot = shard.hot.hot(slot).is_some();
-        if hot {
-            let restart = shard.hot.restart[slot as usize];
-            let cycle = &mut shard.hot.cycles[slot as usize];
-            *cycle += 1;
-            let completing = *cycle >= cycles_per_epoch;
-            if completing {
-                *cycle = 0;
+        if shard.hot.hot(slot).is_none() {
+            if let Some(node) = shard.arena.node_at_slot_mut(slot) {
+                out.end_node_cycle(node, redundancy);
+                shard.resync_slot(slot, kind);
             }
-            let record = &mut shard.hot.slots[slot as usize];
-            let mut overflow = false;
-            if completing {
-                completed_epoch = Some(match completed_epoch {
-                    Some(epoch) => std::cmp::max::<u64>(epoch, u64::from(record.key)),
-                    None => u64::from(record.key),
-                });
-                epoch_stats.push(kind.estimate_value(record.state));
-                record.state = restart;
-                record.exchanges = 0;
-                record.key += 1;
-                overflow = record.key == soa::COLD;
-            }
-            estimate_stats.push(kind.estimate_value(record.state));
-            if overflow {
-                // The new epoch is not representable in the 16-byte record
-                // (u32 epochs): hand the node back to the cold path.
-                // Unreachable in any real run, but cheap to keep correct.
-                let view = HotView {
-                    state: restart,
-                    epoch: u64::from(soa::COLD),
-                    cycle_in_epoch: 0,
-                    exchanges: 0,
-                };
-                shard.hot.mark_cold(slot);
-                if let Some(node) = shard.arena.node_at_slot_mut(slot) {
-                    node.restore_hot_view(view);
-                }
-            }
-        } else {
-            let Some(node) = shard.arena.node_at_slot_mut(slot) else {
-                continue;
+            continue;
+        }
+        let restart = shard.hot.restart[slot as usize];
+        let cycle = &mut shard.hot.cycles[slot as usize];
+        *cycle += 1;
+        let completing = *cycle >= cycles_per_epoch;
+        if completing {
+            *cycle = 0;
+        }
+        let record = &mut shard.hot.slots[slot as usize];
+        let mut overflow = false;
+        if completing {
+            out.completed_epoch = out.completed_epoch.max(Some(u64::from(record.key)));
+            out.epoch_stats.push(kind.estimate_value(record.state));
+            record.state = restart;
+            record.exchanges = 0;
+            record.key += 1;
+            overflow = record.key == soa::COLD;
+        }
+        out.estimate_stats.push(kind.estimate_value(record.state));
+        if overflow {
+            // The new epoch is not representable in the 16-byte record
+            // (u32 epochs): hand the node back to the cold path.
+            // Unreachable in any real run, but cheap to keep correct.
+            let view = HotView {
+                state: restart,
+                epoch: u64::from(soa::COLD),
+                cycle_in_epoch: 0,
+                exchanges: 0,
             };
-            if let Some(result) = node.end_cycle() {
-                completed_epoch = Some(match completed_epoch {
-                    Some(epoch) => std::cmp::max::<u64>(epoch, result.epoch),
-                    None => result.epoch,
-                });
-                if result.full_participation {
-                    if let Some(estimate) = result.default_estimate() {
-                        epoch_stats.push(estimate);
-                    }
-                    if let Some(size) = epoch_size_estimate(&result, redundancy) {
-                        size_stats.push(size);
-                    }
-                }
+            shard.hot.mark_cold(slot);
+            if let Some(node) = shard.arena.node_at_slot_mut(slot) {
+                node.restore_hot_view(view);
             }
-            if let Some(estimate) = node.estimate() {
-                estimate_stats.push(estimate);
-            }
-            shard.resync_slot(slot, kind);
         }
     }
-    ShardCycleOut {
-        tally,
-        completed_epoch,
-        epoch_stats,
-        size_stats,
-        estimate_stats,
-    }
+    out
 }
 
 /// A shard's mailbox receivers: push batches in, reply batches back.

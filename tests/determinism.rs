@@ -162,15 +162,19 @@ fn sharded_summaries(
         workers,
         message_loss,
         SamplerConfig::UniformComplete,
+        FaultPlan::none(),
     )
 }
 
+/// [`sharded_summaries`] over any peer sampler, executing a [`FaultPlan`]
+/// on top of the harness's loss and churn.
 fn sharded_summaries_with(
     seed: u64,
     shards: usize,
     workers: Option<usize>,
     message_loss: f64,
     sampler: SamplerConfig,
+    plan: FaultPlan,
 ) -> (Vec<gossip_sim::ShardedCycleSummary>, Vec<u64>) {
     let values: Vec<f64> = (0..300).map(|i| (i % 37) as f64).collect();
     let protocol = ProtocolConfig::builder()
@@ -188,7 +192,7 @@ fn sharded_summaries_with(
         shards,
         workers,
     };
-    let mut sim = ShardedSimulation::new(config, &values, seed).unwrap();
+    let mut sim = ShardedSimulation::with_faults(config, &values, seed, plan).unwrap();
     let mut summaries = Vec::new();
     for cycle in 0..30 {
         for i in 0..5 {
@@ -220,7 +224,7 @@ fn sharded_runs_are_bit_identical_for_identical_seeds() {
 }
 
 /// Worker threads are an execution resource, not a semantic one: for a fixed
-/// shard count, the single-worker sequential executor (fused exchanges, no
+/// shard count, the single-worker executor (fused exchanges, no
 /// mailboxes) and the multi-worker round/mailbox executor must produce
 /// bit-identical summaries — including when workers own several shards each.
 #[test]
@@ -230,7 +234,7 @@ fn worker_count_does_not_change_results_at_all() {
         let (summaries, bits) = sharded_summaries(31, 4, Some(workers), 0.1);
         assert_eq!(
             summaries, reference,
-            "{workers}-worker execution must match the sequential executor"
+            "{workers}-worker execution must match the single-worker executor"
         );
         assert_eq!(bits, reference_bits);
     }
@@ -289,7 +293,7 @@ fn shard_count_changes_only_telemetry_summation_order() {
 /// *pre-SoA* golden trajectory (the same FNV fingerprint pinned by
 /// [`uniform_sampler_is_bit_identical_to_the_pre_sampler_engines`] for this
 /// harness). Batched shuffles, pre-drawn peer picks and per-seq loss seeds
-/// must replay the exact draw sequence of the node-path executor.
+/// must replay the exact draw sequence of the unbatched schedule.
 #[test]
 fn soa_fused_executor_reproduces_the_golden_across_shard_counts() {
     for shards in [1usize, 2, 4, 8] {
@@ -701,36 +705,73 @@ fn static_overlay_runs_are_bit_identical_for_identical_seeds() {
     assert_ne!(run(7), run(8));
 }
 
-/// Live NEWSCAST on the sharded engine: worker threads never touch the
-/// sampler (all picks happen in the coordinator pass), so any worker count
-/// must produce bit-identical summaries for a fixed shard count.
-#[test]
-fn newscast_sharded_runs_are_worker_count_invariant() {
-    let sampler = SamplerConfig::newscast();
-    let (reference, reference_bits) = sharded_summaries_with(55, 4, Some(1), 0.1, sampler);
+/// The static overlay the sharded determinism pins run: a 10-regular random
+/// graph over the initial population.
+fn static_overlay() -> SamplerConfig {
+    SamplerConfig::StaticOverlay {
+        topology: TopologyKind::RandomRegular { degree: 10 },
+    }
+}
+
+/// Dead links on top of the harness's loss: every cycle vetoes some picks.
+fn link_fault_plan() -> FaultPlan {
+    FaultPlan {
+        link_failure: 0.2,
+        ..FaultPlan::with_message_loss(0.1)
+    }
+}
+
+/// Worker threads never touch the sampler or the fault lab (all picks and
+/// link vetoes happen in the coordinator pass), so any worker count must
+/// produce bit-identical summaries for a fixed shard count. The single-worker
+/// executor reports a block's vetoed links to the sampler after drawing the
+/// whole block, where the threaded schedule reports each right after its
+/// pick: under a link-fault plan this pins that `peer_failed` touches only
+/// the initiator's own sampling state.
+fn assert_worker_count_invariant(seed: u64, sampler: SamplerConfig, plan: FaultPlan) {
+    let run = |workers| sharded_summaries_with(seed, 4, Some(workers), 0.1, sampler, plan.clone());
+    let (reference, reference_bits) = run(1);
+    assert_eq!(
+        reference.iter().any(|s| s.exchanges_blocked > 0),
+        plan.link_failure > 0.0,
+        "{sampler}: a link-fault plan must veto exchanges, and only then"
+    );
     for workers in [2, 4] {
-        let (summaries, bits) = sharded_summaries_with(55, 4, Some(workers), 0.1, sampler);
+        let (summaries, bits) = run(workers);
         assert_eq!(
             summaries, reference,
-            "{workers}-worker NEWSCAST run must match the sequential executor"
+            "{workers}-worker {sampler} run must match the single-worker executor"
         );
         assert_eq!(bits, reference_bits);
     }
 }
 
-/// Live NEWSCAST across shard counts: the membership protocol iterates and
-/// bootstraps over *directory positions* (shard-count invariant), never raw
-/// identifiers (which embed shard bits), so node estimates stay bit-identical
-/// across 1/2/4/8 shards — the same invariant the uniform sampler upholds.
+/// Live NEWSCAST on the sharded engine, without and with dead links.
 #[test]
-fn newscast_shard_count_changes_only_telemetry_summation_order() {
-    let sampler = SamplerConfig::newscast();
-    let (reference, reference_bits) = sharded_summaries_with(56, 1, None, 0.1, sampler);
+fn newscast_sharded_runs_are_worker_count_invariant() {
+    assert_worker_count_invariant(55, SamplerConfig::newscast(), FaultPlan::none());
+    assert_worker_count_invariant(55, SamplerConfig::newscast(), link_fault_plan());
+}
+
+/// Static-overlay sampling on the sharded engine under dead links.
+#[test]
+fn static_overlay_sharded_runs_are_worker_count_invariant() {
+    assert_worker_count_invariant(55, static_overlay(), link_fault_plan());
+}
+
+/// Sampled overlays across shard counts: NEWSCAST iterates and bootstraps
+/// over *directory positions*, and a static overlay binds its vertices in
+/// directory order (shard-count invariant), never raw identifiers (which
+/// embed shard bits), so node estimates stay bit-identical across 1/2/4/8
+/// shards — the same invariant the uniform sampler upholds.
+fn assert_shard_count_invariant(seed: u64, sampler: SamplerConfig) {
+    let run = |shards| sharded_summaries_with(seed, shards, None, 0.1, sampler, FaultPlan::none());
+    let (reference, reference_bits) = run(1);
     for shards in [2, 4, 8] {
-        let (summaries, bits) = sharded_summaries_with(56, shards, None, 0.1, sampler);
+        let (summaries, bits) = run(shards);
         assert_eq!(
             bits, reference_bits,
-            "{shards}-shard NEWSCAST node estimates must be bit-identical to 1 shard"
+            "{shards}-shard {sampler} node estimates must be bit-identical to 1 shard"
         );
         for (x, y) in summaries.iter().zip(&reference) {
             assert_eq!(x.live_nodes, y.live_nodes, "cycle {}", x.cycle);
@@ -746,6 +787,16 @@ fn newscast_shard_count_changes_only_telemetry_summation_order() {
             );
         }
     }
+}
+
+#[test]
+fn newscast_shard_count_changes_only_telemetry_summation_order() {
+    assert_shard_count_invariant(56, SamplerConfig::newscast());
+}
+
+#[test]
+fn static_overlay_shard_count_changes_only_telemetry_summation_order() {
+    assert_shard_count_invariant(57, static_overlay());
 }
 
 /// Tentpole pin — one protocol core, two runtimes. The wire-path
@@ -1018,7 +1069,7 @@ fn variance_experiments_are_reproducible() {
 /// Telemetry tentpole pin, part 1: enabling the full flight recorder +
 /// watchdog changes not a single protocol bit. The traced sharded run must
 /// reproduce the untraced estimates exactly, at every shard count and on
-/// every executor (sequential SoA, threaded round/mailbox) — and the merged
+/// every executor (single-worker SoA, threaded round/mailbox) — and the merged
 /// JSONL trace must itself be **byte-identical** across shard and worker
 /// counts, because every event is keyed by shard-count-invariant global
 /// directory positions or global sequence numbers and merged through the
@@ -1027,6 +1078,7 @@ fn traced_sharded_run(
     seed: u64,
     shards: usize,
     workers: Option<usize>,
+    sampler: SamplerConfig,
     plan: FaultPlan,
     adversary: AdversaryPlan,
 ) -> (Vec<u64>, String) {
@@ -1040,7 +1092,7 @@ fn traced_sharded_run(
             protocol,
             conditions: NetworkConditions::with_message_loss(0.1),
             leader_policy: None,
-            sampler: SamplerConfig::UniformComplete,
+            sampler,
             redundancy: None,
         },
         shards,
@@ -1067,7 +1119,7 @@ fn traced_sharded_run(
 }
 
 /// The (shards, workers) grid the traced runs are compared over, against the
-/// single-shard sequential reference.
+/// single-shard, single-worker reference.
 const TRACED_GRID: [(usize, Option<usize>); 4] =
     [(2, None), (4, Some(1)), (4, Some(3)), (8, Some(4))];
 
@@ -1079,6 +1131,7 @@ fn tracing_leaves_sharded_estimates_bit_identical_across_shards_and_workers() {
             2024,
             shards,
             workers,
+            SamplerConfig::UniformComplete,
             FaultPlan::none(),
             AdversaryPlan::none(),
         )
@@ -1131,10 +1184,20 @@ fn adversary_plan_traces_are_byte_identical_across_shards_and_workers() {
         ..FaultPlan::default()
     };
     let adversary = AdversaryPlan::with_strategy(0.1, AttackStrategy::FixedLie { value: 1e3 });
-    let (reference_bits, reference_trace) = traced_sharded_run(505, 1, None, plan(), adversary);
+    let traced = |shards, workers| {
+        traced_sharded_run(
+            505,
+            shards,
+            workers,
+            SamplerConfig::UniformComplete,
+            plan(),
+            adversary,
+        )
+    };
+    let (reference_bits, reference_trace) = traced(1, None);
     assert!(reference_trace.contains("value_corrupted"));
     for (shards, workers) in TRACED_GRID {
-        let (bits, trace) = traced_sharded_run(505, shards, workers, plan(), adversary);
+        let (bits, trace) = traced(shards, workers);
         assert_eq!(
             bits, reference_bits,
             "{shards}-shard/{workers:?}-worker adversary estimates drifted"
@@ -1146,12 +1209,58 @@ fn adversary_plan_traces_are_byte_identical_across_shards_and_workers() {
     }
 }
 
+/// The trace identity holds under NEWSCAST sampling too: view maintenance
+/// runs on the coordinator and records nothing, and every pick — drawn on
+/// the single-worker executor or by the threaded schedule — begins an
+/// exchange under the same sequence number and directory positions.
+#[test]
+fn newscast_traces_are_byte_identical_across_shards_and_workers() {
+    let sampler = SamplerConfig::newscast();
+    let traced = |shards, workers| {
+        traced_sharded_run(
+            2024,
+            shards,
+            workers,
+            sampler,
+            FaultPlan::none(),
+            AdversaryPlan::none(),
+        )
+    };
+    let (reference_bits, reference_trace) = traced(1, None);
+    assert_eq!(
+        reference_bits,
+        sharded_summaries_with(2024, 1, None, 0.1, sampler, FaultPlan::none()).1,
+        "enabling full tracing changed the NEWSCAST node estimates"
+    );
+    assert!(reference_trace.contains("exchange_begun"));
+    for (shards, workers) in TRACED_GRID {
+        let (bits, trace) = traced(shards, workers);
+        assert_eq!(
+            bits, reference_bits,
+            "{shards}-shard/{workers:?}-worker NEWSCAST traced estimates drifted"
+        );
+        assert_eq!(
+            trace, reference_trace,
+            "NEWSCAST trace must be byte-identical at {shards} shards / {workers:?} workers"
+        );
+    }
+}
+
 /// Telemetry tentpole pin, part 2: two same-seed traced runs emit
 /// byte-identical merged JSONL — the flight recorder consumes no randomness
 /// and stamps virtual (never wall-clock) time.
 #[test]
 fn same_seed_traced_runs_produce_byte_identical_jsonl() {
-    let traced = || traced_sharded_run(7, 4, Some(4), FaultPlan::none(), AdversaryPlan::none());
+    let traced = || {
+        traced_sharded_run(
+            7,
+            4,
+            Some(4),
+            SamplerConfig::UniformComplete,
+            FaultPlan::none(),
+            AdversaryPlan::none(),
+        )
+    };
     let (_, a) = traced();
     let (_, b) = traced();
     assert!(!a.is_empty());
