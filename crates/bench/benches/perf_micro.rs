@@ -6,12 +6,13 @@
 use aggregate_core::aggregate::{Aggregate, Average};
 use aggregate_core::avg::run_avg_cycle;
 use aggregate_core::node::ProtocolNode;
+use aggregate_core::sampler::{PeerSampler, SliceDirectory};
 use aggregate_core::selectors::SequentialSelector;
 use aggregate_core::ProtocolConfig;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use gossip_net::codec;
 use overlay_topology::{generators, CompleteTopology, NodeId};
-use peer_sampling::NewscastNetwork;
+use peer_sampling::NewscastSampler;
 use rand::SeedableRng;
 use std::hint::black_box;
 
@@ -105,17 +106,14 @@ fn bench_codec(c: &mut Criterion) {
 fn bench_membership_cycle(c: &mut Criterion) {
     let mut group = c.benchmark_group("membership");
     group.sample_size(10);
+    let ids: Vec<NodeId> = (0..1_000).map(NodeId::new).collect();
+    let directory = SliceDirectory::new(&ids);
     group.bench_function("newscast_cycle_n1000_view20", |b| {
         b.iter_batched(
-            || {
-                (
-                    NewscastNetwork::bootstrap_ring(1_000, 20),
-                    rand::rngs::StdRng::seed_from_u64(3),
-                )
-            },
-            |(mut network, mut rng)| {
-                network.run_cycle(&mut rng);
-                black_box(network)
+            || NewscastSampler::bootstrap_ring(20, &ids, 3),
+            |mut membership| {
+                membership.begin_cycle(&directory);
+                black_box(membership)
             },
             BatchSize::SmallInput,
         )

@@ -12,36 +12,36 @@
 //! is close to a random graph with out-degree equal to the view size — exactly
 //! the "20-regular random" overlay the paper simulates.
 //!
-//! The crate offers three layers:
+//! The crate offers two layers:
 //!
-//! * [`NodeDescriptor`] / [`PartialView`] — the data structures;
-//! * [`NewscastNode`] — the per-node protocol state machine;
-//! * [`NewscastNetwork`] — a whole-network driver that runs membership cycles
-//!   and exports the instantaneous communication graph as an
-//!   [`overlay_topology::ViewTopology`], ready to be consumed by the
-//!   aggregation protocol or the simulator;
+//! * [`NodeDescriptor`] — the unit of membership information, a node
+//!   identifier tagged with an age;
 //! * [`NewscastSampler`] / [`StaticOverlaySampler`] — implementations of the
 //!   engine-facing [`aggregate_core::sampler::PeerSampler`] interface, which
 //!   is how the `gossip-sim` engines draw their exchange partners from a
 //!   live NEWSCAST membership or a static overlay graph instead of the
-//!   complete graph.
+//!   complete graph. [`NewscastSampler`] is the one NEWSCAST
+//!   implementation: the engines drive it cycle by cycle, and the
+//!   frozen-snapshot experiment warms one up from a ring
+//!   ([`NewscastSampler::bootstrap_ring`]) and reads its views
+//!   ([`NewscastSampler::view_of`]).
 //!
 //! ## Example
 //!
 //! ```
-//! use peer_sampling::NewscastNetwork;
-//! use overlay_topology::Topology;
-//! use rand::SeedableRng;
+//! use aggregate_core::sampler::{PeerSampler, SliceDirectory};
+//! use overlay_topology::NodeId;
+//! use peer_sampling::NewscastSampler;
 //!
-//! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 //! // 500 nodes, view size 20 (the paper's setting), bootstrapped from a ring.
-//! let mut network = NewscastNetwork::bootstrap_ring(500, 20);
+//! let live: Vec<NodeId> = (0..500).map(NodeId::new).collect();
+//! let directory = SliceDirectory::new(&live);
+//! let mut membership = NewscastSampler::bootstrap_ring(20, &live, 1);
 //! for _ in 0..20 {
-//!     network.run_cycle(&mut rng);
+//!     membership.begin_cycle(&directory);
 //! }
-//! let overlay = network.view_topology();
 //! // Every node now has a full view of 20 approximately random neighbours.
-//! assert!((0..500).all(|i| overlay.degree(overlay_topology::NodeId::new(i)) == 20));
+//! assert!(live.iter().all(|&id| membership.view_of(id).unwrap().len() == 20));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -49,15 +49,7 @@
 #![warn(missing_debug_implementations)]
 
 mod descriptor;
-mod network;
-mod newscast;
 mod sampler;
-mod service;
-mod view;
 
 pub use descriptor::NodeDescriptor;
-pub use network::NewscastNetwork;
-pub use newscast::NewscastNode;
 pub use sampler::{NewscastSampler, StaticOverlaySampler};
-pub use service::{PeerSampling, StaticPeerList};
-pub use view::PartialView;

@@ -23,12 +23,12 @@ use crate::{
     SeedSequence, ShardedConfig, ShardedSimulation, SimError, SimulationConfig, ValueDistribution,
 };
 use aggregate_core::avg;
-use aggregate_core::sampler::SamplerConfig;
+use aggregate_core::sampler::{PeerSampler, SamplerConfig, SliceDirectory};
 use aggregate_core::selectors::RandomEdgeSelector;
 use aggregate_core::{theory, ProtocolConfig};
 use gossip_analysis::Table;
-use overlay_topology::TopologyKind;
-use peer_sampling::NewscastNetwork;
+use overlay_topology::{NodeId, TopologyKind, ViewTopology};
+use peer_sampling::NewscastSampler;
 use serde::{Deserialize, Serialize};
 
 /// A node-level convergence measurement under a configurable peer-sampling
@@ -153,8 +153,8 @@ impl OverlayExperiment {
 
 /// First-cycle variance-reduction factor of the vector-level `AVG` algorithm
 /// with `GETPAIR_RAND` over a *frozen snapshot* of a NEWSCAST overlay:
-/// bootstrap a [`NewscastNetwork`] of `nodes` nodes with view size
-/// `cache_size`, run `warmup_cycles` membership cycles, export the view
+/// bootstrap a ring-started [`NewscastSampler`] of `nodes` nodes with view
+/// size `cache_size`, run `warmup_cycles` membership cycles, export the view
 /// topology and measure `runs` independent first cycles.
 ///
 /// This is the measurement to set against the uniform-random rate
@@ -172,14 +172,20 @@ pub fn newscast_snapshot_factor(
 ) -> Result<gossip_analysis::Summary, SimError> {
     let seeds = SeedSequence::new(seed);
     let mut factors = Vec::with_capacity(runs);
+    let ids: Vec<NodeId> = (0..nodes).map(NodeId::new).collect();
+    let directory = SliceDirectory::new(&ids);
     for run in 0..runs {
         // stream: NEWSCAST view warm-up exchanges before measurement
-        let mut membership_rng = seeds.rng_for_labeled(run as u64, "newscast-warmup");
-        let mut network = NewscastNetwork::bootstrap_ring(nodes, cache_size);
+        let membership_seed = seeds.seed_for_labeled(run as u64, "newscast-warmup");
+        let mut membership = NewscastSampler::bootstrap_ring(cache_size, &ids, membership_seed);
         for _ in 0..warmup_cycles {
-            network.run_cycle(&mut membership_rng);
+            membership.begin_cycle(&directory);
         }
-        let topology = network.view_topology();
+        let mut topology = ViewTopology::new(nodes);
+        for &id in &ids {
+            let view = membership.view_of(id).unwrap_or_default();
+            topology.set_view(id, view.iter().map(|d| d.node).collect());
+        }
         // stream: protocol execution — peer picks and exchange draws
         let mut rng = seeds.rng_for_labeled(run as u64, "protocol");
         let mut values = ValueDistribution::Uniform { lo: 0.0, hi: 1.0 }.generate(nodes, &mut rng);

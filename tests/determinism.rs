@@ -1298,3 +1298,127 @@ fn tracing_leaves_reference_engine_and_wire_cluster_goldens_bit_identical() {
     assert!(!cluster.drain_trace().is_empty());
     assert!(cluster.watchdog_verdict().is_some());
 }
+
+/// FNV-1a over 64-bit words: the digest every golden NEWSCAST pin below
+/// compares against a recorded value.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for word in words {
+        hash ^= word;
+        hash = hash.wrapping_mul(0x1000_0000_01b3);
+    }
+    hash
+}
+
+/// Golden pin of a standalone [`NewscastSampler`] (2 000 nodes, c = 20)
+/// under departures, joins and failed-peer reports: every
+/// `sample_live_peer` pick, the in-degree map and the stale-descriptor
+/// count are hashed against digests recorded before the flat view store.
+/// The other NEWSCAST pins compare the sampler with itself; this one fails
+/// when every trajectory changes the same way.
+#[test]
+fn newscast_sampler_matches_its_golden_digest() {
+    use aggregate_core::sampler::sample_live_peer;
+    const NONE: u64 = u64::MAX;
+    let mut live: Vec<NodeId> = (0..2_000).map(NodeId::new).collect();
+    let mut sampler = NewscastSampler::new(20, &live, 1_234);
+    let mut picks = rand::rngs::StdRng::seed_from_u64(99);
+    let mut words = Vec::new();
+    let mut next_id = 10_000;
+    for cycle in 0..25 {
+        // Departures from the middle of the directory, then joins.
+        for _ in 0..15 {
+            let gone = live.remove((cycle * 37 + 11) % live.len());
+            sampler.on_depart(gone);
+        }
+        for _ in 0..12 {
+            let id = NodeId::new(next_id);
+            next_id += 1;
+            live.push(id);
+            sampler.on_join(id, &SliceDirectory::new(&live));
+        }
+        let directory = SliceDirectory::new(&live);
+        sampler.begin_cycle(&directory);
+        for (pos, &initiator) in live.iter().enumerate() {
+            let pick = sample_live_peer(&mut sampler, &directory, pos, &mut picks);
+            words.push(pick.map_or(NONE, |p| p.index() as u64));
+            // Every seventh initiator also reports its pick as failed.
+            if let (Some(peer), 0) = (pick, pos % 7) {
+                sampler.peer_failed(initiator, peer);
+            }
+        }
+        words.push(sampler.stale_descriptors() as u64);
+    }
+    for (id, degree) in sampler.in_degrees() {
+        words.push(id.index() as u64);
+        words.push(degree as u64);
+    }
+    assert_eq!(
+        fnv(words),
+        0xd871_1fa9_c958_4a42,
+        "standalone NEWSCAST sampler drifted"
+    );
+}
+
+/// Golden pin of [`newscast_churn_summaries`]: the reference engine's
+/// per-cycle means and variances under NEWSCAST sampling and churn.
+#[test]
+fn newscast_reference_engine_matches_its_golden_digest() {
+    let words = newscast_churn_summaries(404)
+        .iter()
+        .flat_map(|s| [s.estimate_mean.to_bits(), s.estimate_variance.to_bits()])
+        .collect::<Vec<u64>>();
+    assert_eq!(
+        fnv(words),
+        0x340f_4066_047c_0072,
+        "NEWSCAST reference-engine run drifted"
+    );
+}
+
+/// Golden pin of the sharded engine under NEWSCAST, dead links, loss and
+/// harness churn: node estimates at 4 shards, for 1 and 2 workers.
+#[test]
+fn newscast_sharded_engine_matches_its_golden_digest() {
+    for workers in [1, 2] {
+        let (_, bits) = sharded_summaries_with(
+            55,
+            4,
+            Some(workers),
+            0.1,
+            SamplerConfig::newscast(),
+            link_fault_plan(),
+        );
+        assert_eq!(
+            fnv(bits),
+            0xbd33_0f0a_703f_4315,
+            "{workers}-worker NEWSCAST sharded run drifted"
+        );
+    }
+}
+
+/// Golden pin of the frozen-snapshot experiment: every field of the
+/// measured factor's summary, bit for bit.
+#[test]
+fn newscast_snapshot_factor_matches_its_golden_bits() {
+    let summary = gossip_sim::overlay::newscast_snapshot_factor(1_000, 20, 20, 3, 42).unwrap();
+    assert_eq!(summary.count, 3);
+    let words = [
+        summary.mean,
+        summary.std_dev,
+        summary.min,
+        summary.max,
+        summary.median,
+    ]
+    .map(f64::to_bits);
+    assert_eq!(
+        words,
+        [
+            0x3fd8_6854_52ad_22ab,
+            0x3f93_d11b_983e_1e60,
+            0x3fd7_1523_d0c9_6a8a,
+            0x3fd9_8947_9fdf_03ab,
+            0x3fd8_9a91_875e_f9ce,
+        ],
+        "frozen NEWSCAST snapshot drifted"
+    );
+}

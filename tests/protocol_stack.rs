@@ -103,15 +103,23 @@ fn size_estimation_tracks_a_static_network() {
 /// topology only.
 #[test]
 fn aggregation_over_newscast_views_converges_like_random_overlay() {
+    use overlay_topology::ViewTopology;
     use rand::SeedableRng;
     let n = 2_000;
     let view_size = 20;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(17);
-    let mut membership = NewscastNetwork::bootstrap_ring(n, view_size);
+    let ids: Vec<NodeId> = (0..n).map(NodeId::new).collect();
+    let directory = SliceDirectory::new(&ids);
+    let mut membership = NewscastSampler::bootstrap_ring(view_size, &ids, 17);
     for _ in 0..30 {
-        membership.run_cycle(&mut rng);
+        membership.begin_cycle(&directory);
     }
-    let overlay = membership.view_topology();
+    let mut overlay = ViewTopology::new(n);
+    for &id in &ids {
+        let view = membership.view_of(id).expect("every node holds a view");
+        overlay.set_view(id, view.iter().map(|d| d.node).collect());
+    }
+
+    let mut rng = rand::rngs::StdRng::seed_from_u64(17);
 
     let mut values: Vec<f64> = (0..n).map(|i| (i % 200) as f64).collect();
     let true_mean = mean(&values);
