@@ -276,13 +276,12 @@ impl NewscastSampler {
 /// the view only lowers that entry's age, in place; a new one is pushed at
 /// the end, and when that overflows the view the *last* entry of maximal
 /// age is `swap_remove`d. Entry order matters, since peers are drawn by
-/// index. Three shortcuts spare most of the sequential rule's scans while
+/// index. Two shortcuts spare most of the sequential rule's scans while
 /// keeping that result bit for bit:
 ///
 /// * in a full view, a descriptor at least as old as every entry is
 ///   dropped at once — it would itself be the last maximum, and a
 ///   duplicate of it could not get younger;
-/// * a 256-bit mask of the view's identifiers skips most duplicate scans;
 /// * the maximum age and the number of entries holding it are tracked, so
 ///   the entry to evict is the first hit of a backward scan for that age,
 ///   and the maximum is recounted only once its last holder is gone.
@@ -294,30 +293,23 @@ fn merge_view(
 ) {
     let capacity = block.len();
     let mut n = *len;
-    let mut mask = [0u64; 4];
-    for d in &block[..n] {
-        mark(&mut mask, d.node);
-    }
     let (mut max_age, mut at_max) = oldest(&block[..n]);
     for &d in incoming {
         if d.node == exclude || (n == capacity && d.age >= max_age) {
             continue;
         }
-        if marked(&mask, d.node) {
-            if let Some(existing) = block[..n].iter_mut().find(|e| e.node == d.node) {
-                if d.age < existing.age {
-                    if existing.age == max_age {
-                        at_max -= 1;
-                    }
-                    existing.age = d.age;
-                    if at_max == 0 {
-                        (max_age, at_max) = oldest(&block[..n]);
-                    }
+        if let Some(existing) = block[..n].iter_mut().find(|e| e.node == d.node) {
+            if d.age < existing.age {
+                if existing.age == max_age {
+                    at_max -= 1;
                 }
-                continue;
+                existing.age = d.age;
+                if at_max == 0 {
+                    (max_age, at_max) = oldest(&block[..n]);
+                }
             }
+            continue;
         }
-        mark(&mut mask, d.node);
         if n < capacity {
             block[n] = d;
             n += 1;
@@ -351,16 +343,6 @@ fn oldest(view: &[NodeDescriptor]) -> (u32, usize) {
 fn last_oldest(view: &[NodeDescriptor]) -> Option<usize> {
     let (max_age, _) = oldest(view);
     view.iter().rposition(|d| d.age == max_age)
-}
-
-fn mark(mask: &mut [u64; 4], node: NodeId) {
-    let bit = node.index() & 255;
-    mask[bit >> 6] |= 1 << (bit & 63);
-}
-
-fn marked(mask: &[u64; 4], node: NodeId) -> bool {
-    let bit = node.index() & 255;
-    mask[bit >> 6] & (1 << (bit & 63)) != 0
 }
 
 impl PeerSampler for NewscastSampler {
@@ -878,6 +860,58 @@ mod tests {
         assert!(!nodes(sampler.view_of(initiator).unwrap()).contains(&peer.index()));
     }
 
+    #[test]
+    fn static_overlay_samples_along_edges_only() {
+        let live = ids(30);
+        let directory = SliceDirectory::new(&live);
+        let mut sampler = StaticOverlaySampler::new(TopologyKind::Ring, &live, 11).unwrap();
+        let mut r = rng();
+        for pos in 0..30 {
+            let peer = sampler.sample(&directory, pos, &mut r).unwrap();
+            let delta = (peer.index() as i64 - pos as i64).rem_euclid(30);
+            assert!(
+                delta == 1 || delta == 29,
+                "ring neighbours only, got {peer}"
+            );
+        }
+        assert_eq!(
+            sampler.config(),
+            SamplerConfig::StaticOverlay {
+                topology: TopologyKind::Ring
+            }
+        );
+    }
+
+    #[test]
+    fn static_overlay_departures_vacate_and_joins_reoccupy() {
+        let live = ids(20);
+        let directory = SliceDirectory::new(&live);
+        let mut sampler =
+            StaticOverlaySampler::new(TopologyKind::RandomRegular { degree: 4 }, &live, 13)
+                .unwrap();
+        sampler.on_depart(live[7]);
+        assert_eq!(sampler.vertex_of(live[7]), None);
+        // The vacated vertex's neighbours now occasionally fail the attempt.
+        let newcomer = NodeId::new(500);
+        sampler.on_join(newcomer, &directory);
+        assert_eq!(sampler.vertex_of(newcomer), Some(7));
+        // A join without a vacancy stays overlay-isolated.
+        let extra = NodeId::new(501);
+        sampler.on_join(extra, &directory);
+        assert_eq!(sampler.vertex_of(extra), None);
+        let mut r = rng();
+        assert!(sampler.sample(&directory, 0, &mut r).is_some());
+    }
+
+    #[test]
+    fn static_overlay_invalid_parameters_error() {
+        let live = ids(5);
+        assert!(
+            StaticOverlaySampler::new(TopologyKind::RandomRegular { degree: 10 }, &live, 1)
+                .is_err()
+        );
+    }
+
     proptest! {
         /// A view never exceeds its capacity and never holds two
         /// descriptors for one node, whatever stream is merged into it.
@@ -902,16 +936,15 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(4096))]
 
         /// The fast merge equals the sequential insert oracle entry for
-        /// entry, in order, on views with many tied ages and identifiers
-        /// that collide in the membership mask (`a + 256·b`).
+        /// entry, in order, on views with many tied ages and duplicates.
         #[test]
         fn prop_fast_merge_matches_the_sequential_oracle(
             capacity in 1usize..22,
-            start in proptest::collection::vec((0usize..8, 0usize..3, 0u32..4), 0..30),
-            incoming in proptest::collection::vec((0usize..8, 0usize..3, 0u32..4), 0..30),
-            exclude in 0usize..8,
+            start in proptest::collection::vec((0usize..24, 0u32..4), 0..30),
+            incoming in proptest::collection::vec((0usize..24, 0u32..4), 0..30),
+            exclude in 0usize..24,
         ) {
-            let descriptor = |&(a, b, age): &(usize, usize, u32)| d(a + 256 * b, age);
+            let descriptor = |&(node, age): &(usize, u32)| d(node, age);
             let mut oracle = Vec::new();
             for x in &start {
                 oracle_insert(&mut oracle, capacity, descriptor(x));
