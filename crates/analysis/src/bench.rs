@@ -199,22 +199,83 @@ impl BenchReport {
     }
 }
 
+/// One failure of the regression gate.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Regression {
+    /// The label's runs measured different configurations (nodes, shards,
+    /// workers or cycles), so their throughputs cannot be compared.
+    ConfigMismatch {
+        /// The run as committed.
+        baseline: BenchRun,
+        /// The run as measured now.
+        current: BenchRun,
+    },
+    /// Cycles/s fell below `(1 - tolerance)` of the baseline.
+    Slower {
+        /// The run's label.
+        label: String,
+        /// Committed cycles/s.
+        was: f64,
+        /// Measured cycles/s.
+        now: f64,
+    },
+}
+
+impl std::fmt::Display for Regression {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Regression::ConfigMismatch {
+                baseline: b,
+                current: c,
+            } => write!(
+                f,
+                "{}: measured nodes {} shards {} workers {} cycles {}, committed nodes {} \
+                 shards {} workers {} cycles {} — not comparable",
+                b.label,
+                c.nodes,
+                c.shards,
+                c.workers,
+                c.cycles,
+                b.nodes,
+                b.shards,
+                b.workers,
+                b.cycles
+            ),
+            Regression::Slower { label, was, now } => {
+                write!(f, "{label}: {now:.2} cycles/s vs committed {was:.2}")
+            }
+        }
+    }
+}
+
 /// Compares `current` against `baseline` run-by-run (matched by label) and
-/// returns the regressions: every label whose current cycles/s fell below
-/// `(1 - tolerance)` of the baseline. Labels present on only one side are
-/// ignored — the gate protects tracked configurations, it does not force
-/// report shapes to match. An empty result means the gate passes.
+/// returns the regressions: every label measured under a different
+/// configuration than committed, and every label whose current cycles/s
+/// fell below `(1 - tolerance)` of the baseline. Labels present on only one
+/// side are ignored — the gate protects tracked configurations, it does not
+/// force report shapes to match. An empty result means the gate passes.
 pub fn regressions(
     baseline: &BenchReport,
     current: &BenchReport,
     tolerance: f64,
-) -> Vec<(String, f64, f64)> {
+) -> Vec<Regression> {
     let mut failures = Vec::new();
     for base in &baseline.runs {
-        if let Some(cur) = current.run(&base.label) {
-            if cur.cycles_per_s < base.cycles_per_s * (1.0 - tolerance) {
-                failures.push((base.label.clone(), base.cycles_per_s, cur.cycles_per_s));
-            }
+        let Some(cur) = current.run(&base.label) else {
+            continue;
+        };
+        let config = |r: &BenchRun| (r.nodes, r.shards, r.workers, r.cycles);
+        if config(cur) != config(base) {
+            failures.push(Regression::ConfigMismatch {
+                baseline: base.clone(),
+                current: cur.clone(),
+            });
+        } else if cur.cycles_per_s < base.cycles_per_s * (1.0 - tolerance) {
+            failures.push(Regression::Slower {
+                label: base.label.clone(),
+                was: base.cycles_per_s,
+                now: cur.cycles_per_s,
+            });
         }
     }
     failures
@@ -427,8 +488,45 @@ mod tests {
         current.push(sample_run("only_in_current", 2.0));
 
         let failures = regressions(&baseline, &current, 0.20);
-        assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].0, "full_10m");
+        assert_eq!(
+            failures,
+            vec![Regression::Slower {
+                label: "full_10m".into(),
+                was: 1.0,
+                now: 0.5
+            }]
+        );
+    }
+
+    #[test]
+    fn regression_gate_fails_a_label_measured_under_another_configuration() {
+        let mut baseline = BenchReport::new("b", "old");
+        baseline.push(sample_run("ci_smoke", 10.0));
+        for (field, change) in [
+            (
+                "nodes",
+                (|r: &mut BenchRun| r.nodes += 1) as fn(&mut BenchRun),
+            ),
+            ("shards", |r| r.shards += 1),
+            ("workers", |r| r.workers += 1),
+            ("cycles", |r| r.cycles += 1),
+        ] {
+            // Faster than committed, yet not comparable: still a failure.
+            let mut run = sample_run("ci_smoke", 50.0);
+            change(&mut run);
+            let mut current = BenchReport::new("b", "new");
+            current.push(run.clone());
+            let failures = regressions(&baseline, &current, 0.20);
+            assert_eq!(
+                failures,
+                vec![Regression::ConfigMismatch {
+                    baseline: baseline.runs[0].clone(),
+                    current: run,
+                }],
+                "{field}"
+            );
+            assert!(failures[0].to_string().contains("not comparable"));
+        }
     }
 
     #[test]

@@ -20,13 +20,21 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(stats.mean(), 4.0);
 /// assert_eq!(stats.sample_variance(), 4.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
     m2: f64,
     min: f64,
     max: f64,
+}
+
+impl Default for OnlineStats {
+    /// The empty accumulator, as [`OnlineStats::new`]: a derived default
+    /// would start `min`/`max` at 0.0 and clamp every later extreme to it.
+    fn default() -> Self {
+        OnlineStats::new()
+    }
 }
 
 impl OnlineStats {
@@ -127,6 +135,15 @@ impl OnlineStats {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn default_is_the_empty_accumulator() {
+        let mut stats = OnlineStats::default();
+        assert_eq!(stats, OnlineStats::new());
+        stats.push(3.0);
+        stats.push(5.0);
+        assert_eq!((stats.min(), stats.max()), (Some(3.0), Some(5.0)));
+    }
 
     #[test]
     fn empty_accumulator_defaults() {

@@ -13,8 +13,9 @@
 //! The core is deliberately split into resumable halves —
 //! [`ExchangeCore::begin`], [`ExchangeCore::respond`] and
 //! [`ExchangeCore::complete`] — because the sharded engine executes the two
-//! sides of a cross-shard exchange on different worker threads with a mailbox
-//! hop in between. [`ExchangeCore::exchange`] fuses all three for the local
+//! sides of a cross-worker exchange on different worker threads with a
+//! lane-buffer hop in between (the raw-state kernel splits the same way:
+//! [`ExchangeCore::respond_fused_raw`] / [`ExchangeCore::complete_fused_raw`]). [`ExchangeCore::exchange`] fuses all three for the local
 //! case and additionally takes a message-free fast path when both nodes are
 //! in the common steady state (one default instance, same epoch, both
 //! participating). The fast path performs bit-identical arithmetic and draws
@@ -167,18 +168,50 @@ impl ExchangeCore {
         tally: &mut ExchangeTally,
     ) {
         tally.exchanges += 1;
+        let pushed = *initiator_state;
+        if let Some(replied) =
+            Self::respond_fused_raw(kind, peer_state, peer_exchanges, pushed, lost, tally)
+        {
+            Self::complete_fused_raw(kind, initiator_state, initiator_exchanges, replied);
+        }
+    }
+
+    /// The peer's half of [`ExchangeCore::exchange_fused_raw`], for engines
+    /// that run the two sides of a raw-state exchange apart: draws the push's
+    /// loss coin, absorbs `pushed`, draws the reply's coin, and returns the
+    /// pre-update state to reply with (`None` when either message was lost).
+    #[inline]
+    pub fn respond_fused_raw(
+        kind: AggregateKind,
+        peer_state: &mut f64,
+        peer_exchanges: &mut u32,
+        pushed: f64,
+        lost: &mut impl FnMut() -> bool,
+        tally: &mut ExchangeTally,
+    ) -> Option<f64> {
         if lost() {
             tally.messages_lost += 1;
-            return;
+            return None;
         }
-        let pushed = *initiator_state;
         let replied = *peer_state;
         *peer_state = kind.merge_values(*peer_state, pushed);
         *peer_exchanges += 1;
         if lost() {
             tally.messages_lost += 1;
-            return;
+            return None;
         }
+        Some(replied)
+    }
+
+    /// The initiator's half of [`ExchangeCore::exchange_fused_raw`]: absorbs
+    /// the surviving reply.
+    #[inline]
+    pub fn complete_fused_raw(
+        kind: AggregateKind,
+        initiator_state: &mut f64,
+        initiator_exchanges: &mut u32,
+        replied: f64,
+    ) {
         *initiator_state = kind.merge_values(*initiator_state, replied);
         *initiator_exchanges += 1;
     }

@@ -2,20 +2,21 @@
 //! path, never in arrival order.
 //!
 //! The sharded engine's determinism argument has exactly one
-//! concurrency-sensitive step: worker threads deliver cross-shard batches
-//! through mailboxes, and the receiving side restores a total order (by
+//! concurrency-sensitive step: worker threads deliver cross-worker messages
+//! through lane buffers, and the receiving side restores a total order (by
 //! global sequence number) before touching node or telemetry state — see
-//! `crates/sim/src/sharded.rs`. Any new code that (a) drains a channel and
-//! consumes the batches un-sorted, or (b) folds floating-point statistics
-//! together *inside* a spawned worker (where completion order is the
-//! scheduler's choice), silently breaks the worker-count invariance that
+//! `crates/sim/src/sharded.rs`. Any new code that (a) drains a lane or a
+//! channel and consumes the messages un-sorted, or (b) folds floating-point
+//! statistics together *inside* a spawned worker (where completion order is
+//! the scheduler's choice), silently breaks the worker-count invariance that
 //! `tests/determinism.rs` and `tests/interleavings.rs` pin.
 //!
 //! Two checks, applied to the simulator crate (`crates/sim`) outside tests:
 //!
-//! 1. **drain-then-sort** — a `try_recv()` / `recv()` drain must be followed
-//!    (within [`SORT_WINDOW`] lines) by a `.sort…` call on the drained
-//!    buffer before anything iterates it;
+//! 1. **drain-then-sort** — a lane drain (`.drain_lanes(`) or a channel
+//!    drain (`try_recv()` / `recv()`) must be followed (within
+//!    [`SORT_WINDOW`] lines) by a `.sort…` call on the drained buffer before
+//!    anything iterates it;
 //! 2. **no par-side merges** — `.merge(` must not appear lexically inside a
 //!    `spawn(`-ed closure; merging belongs to the coordinator, in shard
 //!    order.
@@ -33,6 +34,10 @@ pub const NAME: &str = "merge-order";
 /// How many lines after a mailbox drain the restoring sort must appear in.
 pub const SORT_WINDOW: usize = 8;
 
+/// Call shapes that drain concurrently filled buffers: the sharded engine's
+/// lanes and channel receivers.
+const DRAINS: [&str; 3] = [".drain_lanes(", ".try_recv()", ".recv()"];
+
 /// Runs the rule over one file, appending raw (pre-suppression) findings.
 pub fn check_file(file: &SourceFile, out: &mut Vec<Finding>) {
     if file.crate_name != "sim" {
@@ -47,7 +52,7 @@ fn check_drain_then_sort(file: &SourceFile, out: &mut Vec<Finding>) {
         if file.in_test(idx) {
             continue;
         }
-        if !(line.contains(".try_recv()") || line.contains(".recv()")) {
+        if !DRAINS.iter().any(|drain| line.contains(drain)) {
             continue;
         }
         let sorted = file.code.iter().skip(idx + 1).take(SORT_WINDOW).any(|l| {
@@ -136,6 +141,18 @@ mod tests {
         assert_eq!(found[0].line, 1);
 
         let good = "while let Ok(b) = rx.try_recv() {\n    buf.extend(b);\n}\nbuf.sort_unstable_by_key(|c| c.seq);\n";
+        assert!(run(good).is_empty());
+    }
+
+    #[test]
+    fn unsorted_lane_drain_is_flagged_sorted_lane_drain_is_not() {
+        let bad =
+            "lanes.drain_lanes(me, &mut inbox);\nfor e in inbox.iter() {\n    deliver(e);\n}\n";
+        let found = run(bad);
+        assert_eq!(found.len(), 1);
+        assert_eq!(found[0].line, 1);
+
+        let good = "lanes.drain_lanes(me, &mut inbox);\ninbox.sort_unstable_by_key(|e| e.order);\n";
         assert!(run(good).is_empty());
     }
 

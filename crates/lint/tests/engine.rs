@@ -39,6 +39,7 @@ const EXPECTED: &[(&str, usize, &str)] = &[
     ("crates/sim/src/merge.rs", 4, "merge-order"),
     ("crates/sim/src/merge.rs", 14, "merge-order"),
     ("crates/sim/src/merge.rs", 19, "seed-streams"),
+    ("crates/sim/src/merge.rs", 23, "merge-order"),
     ("crates/sim/src/telem.rs", 4, "observer-effect"),
     ("crates/sim/src/telem.rs", 8, "observer-effect"),
     ("crates/sim/src/telem.rs", 14, "observer-effect"),
@@ -111,7 +112,7 @@ fn fixture_json_report_round_trips_counts() {
     let doc = json::render(&report);
     assert!(doc.contains("\"version\": 1"));
     assert!(
-        doc.contains("\"summary\": {\"files_checked\": 5, \"findings\": 17, \"suppressed\": 1}")
+        doc.contains("\"summary\": {\"files_checked\": 5, \"findings\": 18, \"suppressed\": 1}")
     );
     assert!(doc.contains("\"rule\": \"merge-order\""));
     assert!(doc.contains("\"reason\": \"keyed lookup only; never iterated\""));

@@ -18,3 +18,10 @@ pub fn par(scope: &Scope, stats: &mut Stats, other: &Stats) {
 pub fn shared(seeds: &SeedSequence) {
     let _rng = seeds.rng_for_labeled(0, "shared-label");
 }
+
+pub fn lanes(lanes: &Lanes, inbox: &mut Vec<Envelope>) {
+    lanes.drain_lanes(0, inbox);
+    for e in inbox.iter() {
+        deliver(e);
+    }
+}

@@ -13,7 +13,7 @@
 //!   so indefinite churn runs in memory bounded by the peak live size;
 //! * a **sharded multi-threaded engine** ([`ShardedSimulation`]) that
 //!   partitions the arena into per-shard sub-arenas and executes each cycle
-//!   across worker threads with a deterministic round/mailbox protocol —
+//!   across worker threads with a deterministic round/lane protocol —
 //!   bit-identical per (seed, shard count), node values invariant across
 //!   shard counts — the engine behind the million-node epochs
 //!   (`examples/million_node.rs`);
@@ -60,6 +60,7 @@ mod churn;
 mod engine;
 mod error;
 mod event_engine;
+mod lanes;
 pub mod overlay;
 pub mod robustness;
 pub mod runner;

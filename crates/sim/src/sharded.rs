@@ -7,7 +7,7 @@
 //! properties a reproduction engine cannot give up:
 //!
 //! 1. **Same seed + same shard count → bit-identical runs**, independent of
-//!    thread scheduling.
+//!    thread scheduling and of the worker count.
 //! 2. **Node trajectories are independent of the shard count.** The exchange
 //!    schedule (initiator order, peer choice, per-exchange loss draws, churn
 //!    victims, leader elections) is derived from shard-count-agnostic RNG
@@ -25,32 +25,45 @@
 //!
 //! A coordinator pass derives the cycle's schedule: every live node
 //! initiates once, in a shuffled order realising `GETPAIR_SEQ`, against a
-//! peer drawn from the peer-sampling layer. Each exchange is then assigned a
-//! **round**: the earliest round in which neither endpoint is used by an
-//! earlier exchange (`round = 1 + max(last_round(initiator),
-//! last_round(peer))`). Within a round all exchanges are node-disjoint, so
-//! they may execute concurrently in any order; across rounds, barriers
-//! enforce the dependency order. The result is *exactly* the state the
-//! sequential schedule produces, which is what makes node values
-//! shard-count invariant.
+//! peer drawn from the peer-sampling layer. Both executors draw it through
+//! one pick stage: a batched shuffle, block-buffered uniform picks (any
+//! other sampler answers through [`sample_live_peer`]), the fault lab's
+//! link vetoes, and one global sequence number per surviving exchange.
 //!
-//! Each round runs as a deterministic two-phase (plus apply) protocol per
-//! shard worker:
+//! Node state lives in a per-shard struct-of-arrays mirror of the hot nodes
+//! ([`crate::soa`]) for every worker count. An exchange between two hot
+//! endpoints in the same epoch runs the raw fused kernel over two 16-byte
+//! records; any other exchange flushes its endpoints into their
+//! `ProtocolNode`s, takes the node path and resyncs them.
 //!
-//! * **phase A** — exchanges whose endpoints are both shard-local run fused
-//!   ([`ExchangeCore::exchange`]); for cross-shard pairs the initiator's
-//!   pushes are batched into the peer shard's mailbox (`crossbeam`
-//!   channels);
-//! * **phase B** — each shard drains its mailbox, sorts the batches by
-//!   global sequence number (the fixed merge order) and lets the peers
-//!   absorb and reply ([`ExchangeCore::respond`]); surviving replies are
-//!   batched back to the initiators' shards;
-//! * **phase C** — initiator shards apply the replies
-//!   ([`ExchangeCore::complete`]).
+//! With one worker the schedule is applied in sequence order. With more,
+//! each exchange is assigned a **round**: the earliest round in which
+//! neither endpoint is used by an earlier exchange (`round = 1 +
+//! max(last_round(initiator), last_round(peer))`). Within a round all
+//! exchanges are node-disjoint, so they may execute concurrently in any
+//! order; across rounds, barriers enforce the dependency order. The result
+//! is *exactly* the state the sequential schedule produces, which is what
+//! makes node values worker-count and shard-count invariant.
 //!
-//! With one worker, whatever the sampler, the engine skips rounds,
-//! mailboxes and barriers: it applies the same schedule in sequence order
-//! over the struct-of-arrays mirror of the hot nodes ([`crate::soa`]).
+//! The shards are split into contiguous chunks, one per worker, and each
+//! round runs in three phases separated by two barriers:
+//!
+//! * **phase A** — an exchange whose two endpoints both belong to this
+//!   worker runs whole, exactly as with one worker. For a cross-worker pair
+//!   the initiator's pushes go into the lane towards the peer's worker (a
+//!   hot initiator's single push is built straight from its record);
+//! * **phase B** — each worker drains its incoming lanes, sorts the
+//!   envelopes by global sequence number (the fixed merge order) and lets
+//!   the peers absorb and reply: the fused kernel's peer half
+//!   ([`ExchangeCore::respond_fused_raw`]) for a hot peer, otherwise
+//!   [`ExchangeCore::respond`] on the node. Every loss coin of the exchange
+//!   is drawn here, in the fused kernel's order;
+//! * **phase C** — the initiators' workers drain, sort and absorb the
+//!   replies ([`ExchangeCore::complete_fused_raw`] or
+//!   [`ExchangeCore::complete`]).
+//!
+//! Lanes are reusable per-(source worker, destination worker) buffers that
+//! change hands by swapping at the barriers; no message allocates.
 //!
 //! Per-cycle telemetry is accumulated in per-shard [`OnlineStats`] and
 //! merged in shard order (Chan's parallel Welford update), so a million-node
@@ -66,9 +79,7 @@ use aggregate_core::node::{HotView, ProtocolNode};
 use aggregate_core::redundancy::{redundant_size_estimate_from_epoch, MergePolicy};
 use aggregate_core::sampler::{sample_live_peer, PeerSampler, SamplerConfig, SamplerDirectory};
 use aggregate_core::size_estimation;
-use aggregate_core::{
-    AggregateKind, ExchangeCore, ExchangeScratch, ExchangeTally, GossipMessage, InstanceTag,
-};
+use aggregate_core::{AggregateKind, ExchangeCore, ExchangeScratch, ExchangeTally, InstanceTag};
 use gossip_analysis::OnlineStats;
 use gossip_faults::{
     crash_random, enter_cycle, Adversary, AdversaryPlan, FaultPlan, LiveSet, PlanInjector,
@@ -76,10 +87,12 @@ use gossip_faults::{
 use gossip_telemetry::{Event, EventKind, FlightRecorder, TelemetryConfig, TelemetrySink};
 use overlay_topology::NodeId;
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::sync::Barrier;
+
+mod threaded;
+
+use threaded::WorkerPool;
 
 /// Configuration of a [`ShardedSimulation`]: the engine-agnostic simulation
 /// parameters plus the shard count.
@@ -98,14 +111,15 @@ pub struct ShardedConfig {
     /// not a semantic one: any worker count produces bit-identical results
     /// for a given shard count, so the engine can saturate whatever
     /// hardware it lands on — including the degenerate single-core case,
-    /// where one worker applies the schedule sequentially with fused
-    /// exchanges and skips the mailbox machinery entirely.
+    /// where one worker applies the schedule sequentially and skips rounds,
+    /// lanes and barriers entirely.
     ///
-    /// The multi-worker executor spawns its threads and mailbox channels
-    /// per cycle (scoped threads cannot outlive a `run_cycle` call), a
-    /// fixed setup cost of a few hundred microseconds. It is noise at the
-    /// ≥10⁵-node scales this engine targets but dominates toy runs; for
-    /// multicore machines driving small populations, `Some(1)` removes it.
+    /// The multi-worker executor spawns its threads per cycle (scoped
+    /// threads cannot outlive a `run_cycle` call), a fixed cost of tens of
+    /// microseconds; its lane buffers are kept across cycles. Each round
+    /// costs two barriers, which is noise at the ≥10⁵-node scales this
+    /// engine targets but dominates toy runs; for multicore machines driving
+    /// small populations, `Some(1)` removes it.
     pub workers: Option<usize>,
 }
 
@@ -188,59 +202,29 @@ pub struct ShardedCycleSummary {
     pub shard_exchanges: Vec<usize>,
 }
 
-/// One exchange of the cycle schedule.
+/// Initiators per block of the pick stage.
+const PICK_BLOCK: usize = 128;
+
+/// A failed peer pick in the pick stage's candidate buffer.
+const NO_PEER: u32 = u32::MAX;
+
+/// One surviving exchange of the pick stage: its endpoints and their
+/// global directory positions.
 #[derive(Debug, Clone, Copy)]
-struct ScheduledExchange {
+struct Pick {
     initiator: NodeId,
     peer: NodeId,
-    round: u32,
+    ipos: u32,
+    ppos: u32,
 }
 
-/// Reusable buffers of the per-cycle schedule.
-#[derive(Debug, Default)]
-struct ScheduleBuffers {
-    /// Shuffled global positions — the initiator order.
-    order: Vec<u32>,
-    /// The cycle's exchanges in global sequence order.
-    exchanges: Vec<ScheduledExchange>,
-    /// Per global position: the next free round for that node.
-    next_round: Vec<u32>,
-    /// Counting-sort scratch: per (round, shard) bucket starts (length
-    /// `rounds * shards + 1`) and the exchange indices grouped by bucket.
-    bucket_starts: Vec<u32>,
-    bucket_items: Vec<u32>,
-}
-
-impl ScheduleBuffers {
-    fn bucket(&self, round: usize, shard: usize, shards: usize) -> &[u32] {
-        let b = round * shards + shard;
-        let start = self.bucket_starts[b] as usize;
-        let end = self.bucket_starts[b + 1] as usize;
-        &self.bucket_items[start..end]
-    }
-}
-
-/// A cross-shard push batch: one entry per initiated exchange, carrying the
-/// initiator's pushes to the peer's shard.
-#[derive(Debug)]
-struct CrossPush {
-    /// Global sequence number of the exchange (the fixed merge order key).
-    seq: u32,
-    initiator: NodeId,
-    peer_slot: u32,
-    /// First push inline (the common single-instance case allocates
-    /// nothing); further pushes spill into `rest`.
-    first: GossipMessage,
-    rest: Vec<GossipMessage>,
-}
-
-/// A cross-shard reply batch routed back to the initiator's shard.
-#[derive(Debug)]
-struct CrossReply {
-    seq: u32,
-    initiator_slot: u32,
-    first: GossipMessage,
-    rest: Vec<GossipMessage>,
+impl Pick {
+    const NONE: Pick = Pick {
+        initiator: NodeId::from_u32(0),
+        peer: NodeId::from_u32(0),
+        ipos: 0,
+        ppos: 0,
+    };
 }
 
 /// Node state owned by one shard.
@@ -250,10 +234,9 @@ struct Shard {
     /// Per slot: position of the occupant in the global live directory.
     global_pos: Vec<u32>,
     /// The struct-of-arrays mirror of this shard's *hot* nodes (see
-    /// [`crate::soa`]): while the single-worker executor is resident (every
-    /// one-worker cycle, whatever the sampler), hot records are
-    /// authoritative and the matching `ProtocolNode`s are stale until synced
-    /// back at a flush point.
+    /// [`crate::soa`]): while resident (every cycle, whatever the sampler and
+    /// worker count), hot records are authoritative and the matching
+    /// `ProtocolNode`s are stale until synced back at a flush point.
     hot: HotStore,
     /// This shard's slice of the flight recorder: worker-side exchange
     /// outcomes (`MessageLost` / `ExchangeCompleted`), keyed by global
@@ -421,8 +404,7 @@ impl ShardCycleOut {
         }
     }
 
-    /// The per-node end-of-cycle step on the node path, shared by both
-    /// executors' end-of-cycle passes: tick the epoch machinery, push a
+    /// The end-of-cycle step of a cold node: tick the epoch machinery, push a
     /// completing full-participation epoch's estimate and size estimate,
     /// then push the (post-restart) estimate while the node is cache-hot.
     /// Per-node independence makes this bit-identical to a
@@ -463,23 +445,17 @@ pub struct ShardedSimulation {
     elections: u64,
     last_size_estimate: Option<f64>,
     shard_exchange_totals: Vec<usize>,
-    sched: ScheduleBuffers,
     /// Whether the per-shard [`HotStore`]s currently hold the authoritative
-    /// state of the hot nodes: set by every single-worker cycle, whatever
-    /// the sampler. While `true`, every read or node-path mutation of a hot
+    /// state of the hot nodes: set by every cycle, whatever the sampler and
+    /// worker count. While `true`, every read or node-path mutation of a hot
     /// node must go through a flush/resync; `flush_soa` drops back to the
-    /// all-node representation (threaded cycles, leader elections).
+    /// all-node representation (leader elections).
     soa_resident: bool,
-    /// Reusable shuffle buffer for the single-worker executor: one `u64` per
-    /// live node carrying `directory_position << 32 | packed_endpoint`, so
-    /// after the shuffle both the initiator's position (high half) and its
-    /// shard/slot (low half) come from the entry itself — no random
-    /// directory lookup per initiator.
-    soa_order: Vec<u64>,
-    /// Reusable packed mirror of `global_live` (`shard << 24 | slot` per
-    /// directory position) for candidate lookups — half the miss footprint of
-    /// the 8-byte `NodeId` directory.
-    soa_packed: Vec<u32>,
+    /// Reusable shuffle buffer: one `position << 32 | raw NodeId` entry per
+    /// live node (see [`ShardedSimulation::start_schedule`]).
+    order: Vec<u64>,
+    /// The multi-worker executor's lanes and per-worker buffers.
+    pool: WorkerPool,
     /// The peer-sampling layer. Sampling happens exclusively in the
     /// coordinator pass (schedule construction), never on worker threads, so
     /// one sampler serves every shard and both determinism invariants —
@@ -520,7 +496,7 @@ pub struct ShardedSimulation {
 /// Lazily seeded per-exchange loss model: free when the loss probability is
 /// zero, and a deterministic function of the exchange's sequence number
 /// otherwise — identical no matter which thread (or which side of a
-/// cross-shard mailbox) consumes the draws. The probability is the cycle's
+/// side of a cross-worker lane) consumes the draws. The probability is the cycle's
 /// effective loss rate as computed by the fault injector (a plain
 /// `NetworkConditions` run feeds its constant rate through the same path).
 fn exchange_loss(loss: f64, seed: u64) -> impl FnMut() -> bool {
@@ -633,10 +609,9 @@ impl ShardedSimulation {
             elections: 0,
             last_size_estimate: None,
             shard_exchange_totals: vec![0; shard_count],
-            sched: ScheduleBuffers::default(),
             soa_resident: false,
-            soa_order: Vec::new(),
-            soa_packed: Vec::new(),
+            order: Vec::new(),
+            pool: WorkerPool::default(),
             sampler,
             injector,
             adversary,
@@ -936,12 +911,12 @@ impl ShardedSimulation {
                 shards,
             });
         }
-        let (outs, exchanges_blocked) = if self.effective_workers() == 1 {
-            self.ensure_soa_resident();
+        self.ensure_soa_resident();
+        let workers = self.effective_workers();
+        let (outs, exchanges_blocked) = if workers == 1 {
             self.run_cycle_sequential_soa(loss)
         } else {
-            self.flush_soa();
-            self.run_cycle_threaded(loss)
+            self.run_cycle_threaded(loss, workers)
         };
 
         // Merge the per-shard outputs in shard order: integer counters sum
@@ -1029,7 +1004,7 @@ impl ShardedSimulation {
     }
 
     /// Writes every hot record back into its `ProtocolNode` and drops to the
-    /// all-node representation (threaded executor entry, leader elections).
+    /// all-node representation (leader elections).
     fn flush_soa(&mut self) {
         if !self.soa_resident {
             return;
@@ -1045,191 +1020,112 @@ impl ShardedSimulation {
         self.soa_resident = false;
     }
 
-    /// Single-worker executor, for every sampler: applies the cycle's
-    /// schedule sequentially in global sequence order with fused exchanges.
-    /// It draws the schedule [`ShardedSimulation::build_schedule`] draws for
-    /// the threaded executor — same picks, same vetoes, same sequence
-    /// numbers — so by the round-equivalence argument (see the module docs)
-    /// the two are bit-identical for the same shard count, which the
-    /// determinism suite pins; it skips the round computation, mailboxes and
-    /// barriers that only pay off with real parallelism. The steady-state
-    /// work runs over the dense per-shard [`HotStore`]s:
+    /// What executing this cycle's exchanges needs besides their endpoints.
+    fn pair_exec(&self, loss: f64) -> PairExec {
+        PairExec {
+            kind: self.config.base.protocol.aggregate(),
+            loss,
+            loss_seeds: SeedSequence::new(
+                // stream: per-exchange message-loss coins, re-derived each cycle
+                self.seeds.seed_for_labeled(self.cycle as u64, "cycle-loss"),
+            ),
+            record: self.telemetry.events_enabled(),
+            scratch: ExchangeScratch::new(),
+        }
+    }
+
+    /// Shuffles the cycle's initiator order and returns the pick stage over
+    /// it, plus the shards (which the pick stage resolves liveness through
+    /// and the executors then run on).
     ///
-    /// * the initiator shuffle consumes the `cycle-schedule` stream through
-    ///   block-buffered raw words ([`soa::shuffle_batched`] draws exactly the
-    ///   n − 1 words `SliceRandom::shuffle` draws); uniform complete
-    ///   sampling continues on a [`WordBuffer`] with the sampler's pick loop
-    ///   inlined — zero virtual calls per pick — and every other sampler
-    ///   picks through [`sample_live_peer`] on the same stream;
-    /// * per-exchange loss coins are pre-drawn per block from the
+    /// The shuffle entries carry `directory_position << 32 | raw NodeId`, so
+    /// after the shuffle both the initiator's position (the sampler's
+    /// self-rejection compare) and its shard/slot come from the entry itself
+    /// — no random directory lookup per initiator. [`soa::shuffle_batched`]
+    /// draws exactly the n − 1 words `SliceRandom::shuffle` draws, and its
+    /// swap sequence depends on the words and the length only, so this is
+    /// the permutation a plain position shuffle applies.
+    fn start_schedule(&mut self) -> (Picker<'_>, &mut [Shard]) {
+        let ShardedSimulation {
+            seeds,
+            cycle,
+            global_live,
+            order,
+            sampler,
+            injector,
+            telemetry,
+            shards,
+            ..
+        } = self;
+        // stream: per-cycle initiator shuffle and peer picks
+        let mut rng = seeds.rng_for_labeled(*cycle as u64, "cycle-schedule");
+        order.clear();
+        order.extend(
+            global_live
+                .iter()
+                .enumerate()
+                .map(|(pos, id)| ((pos as u64) << 32) | u64::from(id.as_u32())),
+        );
+        soa::shuffle_batched(order, &mut rng);
+        let picker = Picker {
+            uniform: matches!(sampler.config(), SamplerConfig::UniformComplete),
+            check_links: injector.links_can_block(),
+            record: telemetry.events_enabled(),
+            global_live,
+            order,
+            sampler: sampler.as_mut(),
+            injector,
+            telemetry,
+            rng,
+            words: WordBuffer::new(),
+            cand: [0; PICK_BLOCK],
+            start: 0,
+            next_seq: 0,
+            blocked: 0,
+        };
+        (picker, shards)
+    }
+
+    /// Single-worker executor, for every sampler: applies the cycle's
+    /// schedule sequentially in global sequence order. It draws the schedule
+    /// through the same pick stage as [`ShardedSimulation::build_schedule`],
+    /// so by the round-equivalence argument (see the module docs) the two
+    /// executors are bit-identical for the same shard count, which the
+    /// determinism suite pins. Four stages per block of initiators, each a
+    /// tight loop so dozens of iterations fit the out-of-order window and the
+    /// stage's random loads (every one a DRAM — and TLB — miss at 10⁷ nodes)
+    /// overlap instead of serialising into a miss chain:
+    ///
+    /// * stages 1–2, the [`Picker`]: the block's peer picks, then link
+    ///   vetoes and sequence numbers;
+    /// * a touch loop over every endpoint's hot record (the loaded values
+    ///   are discarded, so the cold path's flush/resync writes can never be
+    ///   made stale);
+    /// * stage 3: per-exchange loss coins pre-drawn per block from the
     ///   `cycle-loss` stream via [`SeedSequence::fill_block`] (each
     ///   exchange's coins still come from its own `seed_for_run(seq)`
     ///   stream, in draw order — bit-identical to the lazy closure);
-    /// * an exchange between two hot nodes in the same epoch runs
-    ///   [`ExchangeCore::exchange_fused_raw`] over two 16-byte records — one
-    ///   cache line per endpoint instead of two-plus; any other exchange
-    ///   flushes its endpoints and takes the node path, then resyncs.
+    /// * stage 4: execute from cache ([`PairExec::run_pair`]).
+    ///
+    /// (A deeper software pipeline that interleaved the stages across blocks
+    /// in one master loop measured *slower* — the fat loop body starves the
+    /// reorder buffer — so the simple staged form stands.)
     fn run_cycle_sequential_soa(&mut self, loss: f64) -> (Vec<ShardCycleOut>, usize) {
         let shard_count = self.config.shards;
         let redundancy = self.config.base.redundancy.map(|r| r.merge);
-        let kind = self.config.base.protocol.aggregate();
         let cycles_per_epoch = self.config.base.protocol.cycles_per_epoch();
-        let lossy = loss > 0.0;
-        let loss_seeds =
-            // stream: per-exchange message-loss coins, re-derived each cycle
-            SeedSequence::new(self.seeds.seed_for_labeled(self.cycle as u64, "cycle-loss"));
-        let n = self.global_live.len();
-        let mut rng = self
-            .seeds
-            // stream: per-cycle initiator shuffle and peer picks
-            .rng_for_labeled(self.cycle as u64, "cycle-schedule");
-
-        // Packed directory mirror (candidate lookups touch 4 bytes per miss
-        // instead of 8), then the shuffle entries: position in the high half
-        // for the sampler's self-rejection compare, packed endpoint in the
-        // low half so the initiator's shard/slot ride along through the
-        // shuffle for free. The Fisher–Yates swap sequence is a function of
-        // the drawn words and the length only, so shuffling these u64
-        // entries applies the exact permutation `build_schedule`'s u32
-        // position shuffle applies.
-        let packed_dir = &mut self.soa_packed;
-        packed_dir.clear();
-        packed_dir.extend(self.global_live.iter().map(|&id| pack_endpoint(id)));
-        let order = &mut self.soa_order;
-        order.clear();
-        order.extend(
-            packed_dir
-                .iter()
-                .enumerate()
-                .map(|(pos, &packed)| ((pos as u64) << 32) | u64::from(packed)),
-        );
-        soa::shuffle_batched(order, &mut rng);
-
+        let mut exec = self.pair_exec(loss);
         let mut tallies = vec![ExchangeTally::default(); shard_count];
-        let mut exchanges_blocked = 0usize;
-        let mut scratch = ExchangeScratch::new();
-        let shards = &mut self.shards;
-        let global_live = &self.global_live;
-        let sampler = &mut self.sampler;
-        let injector = &self.injector;
-        let telemetry = &mut self.telemetry;
-        let record = telemetry.events_enabled();
-
-        // Four stages per block of initiators, each a tight loop so dozens
-        // of iterations fit the out-of-order window and the stage's random
-        // loads (every one a DRAM — and TLB — miss at 10⁷ nodes) overlap
-        // instead of serialising into a miss chain: draw the block's peer
-        // picks; touch their directory lines; resolve the pairs (link
-        // vetoes) and touch every endpoint's hot record; pre-draw the loss
-        // coins; execute from cache. (A deeper software pipeline that
-        // interleaved the stages across blocks in one master loop measured
-        // *slower* — the fat loop body starves the reorder buffer — so the
-        // simple staged form stands.)
-        //
-        // Draw-stream order is untouched: picks are drawn in initiator order
-        // across blocks, exactly as `build_schedule` draws them. The link
-        // veto moves *between* the block's draws and its executions, which
-        // is legal because `link_blocked` is pure and
-        // `peer_failed(initiator, _)` only touches the initiator's own
-        // sampling state — and each position initiates once per cycle, so no
-        // later pick reads what a deferred report changes.
-        const BLOCK: usize = 128;
-        const NO_PEER: u32 = u32::MAX;
-        let uniform = matches!(sampler.config(), SamplerConfig::UniformComplete);
-        let check_links = injector.links_can_block();
-        let mut words = WordBuffer::new();
-        let mut cand = [0u32; BLOCK];
-        let mut block_pairs = [(0u32, 0u32); BLOCK];
-        let mut coin_seeds = [0u64; BLOCK];
-        let mut coins = [(false, false); BLOCK];
+        let mut picks = [Pick::NONE; PICK_BLOCK];
+        let mut coin_seeds = [0u64; PICK_BLOCK];
+        let mut coins = [(false, false); PICK_BLOCK];
         let mut next_seq = 0usize;
-        let mut start = 0usize;
-        while n >= 2 && start < n {
-            let end = (start + BLOCK).min(n);
-            let count = end - start;
-            // Stage 1: the block's peer picks as directory positions, then
-            // the touch loop over the candidate directory lines. The uniform
-            // complete sampler's rejection loop — re-draw while the candidate
-            // is the initiator — is inlined over block-buffered words (the
-            // compare uses only the entry's high half, no memory dependence;
-            // directory picks are live by construction, so `sample_live_peer`
-            // adds nothing). Any other sampler is asked through
-            // `sample_live_peer` on the unbuffered stream, because the buffer
-            // reads ahead; a failed pick is `NO_PEER` and gets no sequence
-            // number.
-            if uniform {
-                for k in 0..count {
-                    let ipos = (order[start + k] >> 32) as usize;
-                    let mut candidate;
-                    loop {
-                        candidate = soa::index_from_word(words.next(&mut rng), n);
-                        if candidate != ipos {
-                            break;
-                        }
-                    }
-                    cand[k] = candidate as u32;
-                }
-            } else {
-                let directory = GlobalDirectory {
-                    live: global_live,
-                    shards,
-                };
-                for k in 0..count {
-                    let ipos = (order[start + k] >> 32) as usize;
-                    cand[k] = sample_live_peer(sampler.as_mut(), &directory, ipos, &mut rng)
-                        .map_or(NO_PEER, |peer| global_pos_of(shards, peer));
-                }
-            }
+        let (mut picker, shards) = self.start_schedule();
+        while let Some(block) = picker.next_block(shards, &mut picks) {
             let mut warm = 0u32;
-            for &candidate in &cand[..count] {
-                if let Some(&packed) = packed_dir.get(candidate as usize) {
-                    warm ^= packed;
-                }
-            }
-            std::hint::black_box(warm);
-            // Stage 2: resolve pairs (link vetoes), then touch every
-            // endpoint's hot record in its own tight loop. The touch loads'
-            // values are discarded, so the cold path's flush/resync writes
-            // can never be made stale.
-            let mut survivors = 0usize;
-            for k in 0..count {
-                if cand[k] == NO_PEER {
-                    continue;
-                }
-                let entry = order[start + k];
-                let ipos = (entry >> 32) as u32;
-                if check_links
-                    && veto_link(
-                        injector,
-                        sampler.as_mut(),
-                        telemetry,
-                        global_live,
-                        ipos,
-                        cand[k],
-                    )
-                {
-                    exchanges_blocked += 1;
-                    continue;
-                }
-                if record {
-                    // Identical to `build_schedule`: a begun event per
-                    // surviving pick, numbered densely in pick order. (The
-                    // recording interleave differs — vetoes and beguns share
-                    // this stage here — but the events' sort keys restore the
-                    // same total order after the merge.)
-                    telemetry.exchange_begun(
-                        (next_seq + survivors) as u64,
-                        u64::from(ipos),
-                        u64::from(cand[k]),
-                    );
-                }
-                block_pairs[survivors] = (entry as u32, packed_dir[cand[k] as usize]);
-                survivors += 1;
-            }
-            let mut warm = 0u32;
-            for &(a, b) in &block_pairs[..survivors] {
-                let (shard_a, slot_a) = unpack_endpoint(a);
-                let (shard_b, slot_b) = unpack_endpoint(b);
+            for pick in block {
+                let (shard_a, slot_a) = endpoint(pick.initiator);
+                let (shard_b, slot_b) = endpoint(pick.peer);
                 if let Some(record) = shards[shard_a].hot.slots.get(slot_a as usize) {
                     warm ^= record.key;
                 }
@@ -1238,290 +1134,35 @@ impl ShardedSimulation {
                 }
             }
             std::hint::black_box(warm);
-            // Stage 3: the block's loss coins. Exchange sequence numbers are
-            // dense over survivors, exactly as `build_schedule` hands them
-            // out.
-            if lossy {
-                loss_seeds.fill_block(next_seq as u64, &mut coin_seeds[..survivors]);
-                for (k, &seed) in coin_seeds[..survivors].iter().enumerate() {
-                    // Eagerly drawing both coins from the exchange's private
-                    // stream is invisible when only the first is consumed.
-                    let mut coin_rng = StdRng::seed_from_u64(seed);
-                    coins[k] = (coin_rng.gen_bool(loss), coin_rng.gen_bool(loss));
+            if loss > 0.0 {
+                let coin_seeds = &mut coin_seeds[..block.len()];
+                exec.loss_seeds.fill_block(next_seq as u64, coin_seeds);
+                for (coin, &seed) in coins.iter_mut().zip(coin_seeds.iter()) {
+                    *coin = coins_from_seed(loss, seed);
                 }
             }
-            // Stage 4: execute from cache.
-            for (k, &(a, b)) in block_pairs[..survivors].iter().enumerate() {
-                let seq = next_seq + k;
-                let (shard_a, slot_a) = unpack_endpoint(a);
-                let (shard_b, slot_b) = unpack_endpoint(b);
-                let fused = {
-                    let ra = shards[shard_a].hot.hot(slot_a);
-                    let rb = shards[shard_b].hot.hot(slot_b);
-                    matches!((ra, rb), (Some(x), Some(y)) if x.key == y.key)
-                };
-                if fused {
-                    let (initiator, peer) = if shard_a == shard_b {
-                        shards[shard_a].hot.pair_mut(slot_a, slot_b)
-                    } else {
-                        let (sa, sb) = shard_pair_mut(shards, shard_a, shard_b);
-                        (
-                            &mut sa.hot.slots[slot_a as usize],
-                            &mut sb.hot.slots[slot_b as usize],
-                        )
-                    };
-                    let (c1, c2) = coins[k];
-                    let mut draw = 0u8;
-                    let mut lost = move || {
-                        draw += 1;
-                        if draw == 1 {
-                            c1
-                        } else {
-                            c2
-                        }
-                    };
-                    let lost_before = tallies[shard_a].messages_lost;
-                    ExchangeCore::exchange_fused_raw(
-                        kind,
-                        &mut initiator.state,
-                        &mut initiator.exchanges,
-                        &mut peer.state,
-                        &mut peer.exchanges,
-                        &mut lost,
-                        &mut tallies[shard_a],
-                    );
-                    if record {
-                        // The fused path always begins (both endpoints hot ⇒
-                        // active in the same epoch).
-                        record_exchange_outcome(
-                            &mut shards[shard_a].recorder,
-                            seq as u64,
-                            true,
-                            tallies[shard_a].messages_lost - lost_before,
-                        );
-                    }
-                } else {
-                    // Cold or cross-epoch endpoint: sync the nodes, run the
-                    // ordinary node-path exchange (which takes its own fused
-                    // fast path when the preconditions hold — bit-identical
-                    // arithmetic either way), then re-derive both records.
-                    shards[shard_a].flush_hot_slot(slot_a);
-                    shards[shard_b].flush_hot_slot(slot_b);
-                    let (initiator, peer) = if shard_a == shard_b {
-                        shards[shard_a].arena.pair_mut(slot_a, slot_b)
-                    } else {
-                        let (sa, sb) = shard_pair_mut(shards, shard_a, shard_b);
-                        (
-                            sa.arena.node_at_slot_mut(slot_a),
-                            sb.arena.node_at_slot_mut(slot_b),
-                        )
-                    };
-                    let (Some(initiator), Some(peer)) = (initiator, peer) else {
-                        continue;
-                    };
-                    let seed = if lossy {
-                        loss_seeds.seed_for_run(seq as u64)
-                    } else {
-                        0
-                    };
-                    let mut lost = exchange_loss(loss, seed);
-                    let exch_before = tallies[shard_a].exchanges;
-                    let lost_before = tallies[shard_a].messages_lost;
-                    ExchangeCore::exchange(
-                        initiator,
-                        peer,
-                        &mut scratch,
-                        &mut lost,
-                        &mut tallies[shard_a],
-                    );
-                    if record {
-                        record_exchange_outcome(
-                            &mut shards[shard_a].recorder,
-                            seq as u64,
-                            tallies[shard_a].exchanges > exch_before,
-                            tallies[shard_a].messages_lost - lost_before,
-                        );
-                    }
-                    shards[shard_a].resync_slot(slot_a, kind);
-                    shards[shard_b].resync_slot(slot_b, kind);
-                }
+            for (k, pick) in block.iter().enumerate() {
+                let initiator = endpoint(pick.initiator);
+                exec.run_pair(
+                    shards,
+                    initiator,
+                    endpoint(pick.peer),
+                    next_seq + k,
+                    coins[k],
+                    &mut tallies[initiator.0],
+                );
             }
-            next_seq += survivors;
-            start = end;
+            next_seq += block.len();
         }
-
+        let exchanges_blocked = picker.blocked;
         let outs = shards
             .iter_mut()
             .zip(tallies)
             .map(|(shard, tally)| {
-                end_of_cycle_pass_soa(shard, tally, kind, cycles_per_epoch, redundancy)
+                end_of_cycle_pass(shard, tally, exec.kind, cycles_per_epoch, redundancy)
             })
             .collect();
         (outs, exchanges_blocked)
-    }
-
-    /// Multi-worker executor: the deterministic round/mailbox protocol from
-    /// the module docs, with the shards partitioned into contiguous chunks
-    /// over the worker threads.
-    fn run_cycle_threaded(&mut self, loss: f64) -> (Vec<ShardCycleOut>, usize) {
-        let (rounds, exchanges_blocked) = self.build_schedule();
-        let shard_count = self.config.shards;
-        let workers = self.effective_workers();
-        let redundancy = self.config.base.redundancy.map(|r| r.merge);
-        let loss_seed_base = self.seeds.seed_for_labeled(self.cycle as u64, "cycle-loss");
-
-        let mut outs: Vec<ShardCycleOut> =
-            (0..shard_count).map(|_| ShardCycleOut::default()).collect();
-        let barrier = Barrier::new(workers);
-        let (push_txs, push_rxs): (Vec<_>, Vec<_>) = (0..shard_count)
-            .map(|_| crossbeam::channel::unbounded::<Vec<CrossPush>>())
-            .unzip();
-        let (reply_txs, reply_rxs): (Vec<_>, Vec<_>) = (0..shard_count)
-            .map(|_| crossbeam::channel::unbounded::<Vec<CrossReply>>())
-            .unzip();
-
-        // Contiguous shard chunks per worker, sized as evenly as possible.
-        let base_chunk = shard_count / workers;
-        let remainder = shard_count % workers;
-        let sched = &self.sched;
-        std::thread::scope(|scope| {
-            let mut shards_rest = self.shards.as_mut_slice();
-            let mut outs_rest = outs.as_mut_slice();
-            let mut rx_rest: Vec<_> = push_rxs.into_iter().zip(reply_rxs).collect();
-            let mut first_shard = 0usize;
-            for worker in 0..workers {
-                let chunk_len = base_chunk + usize::from(worker < remainder);
-                let (shards_chunk, tail) = shards_rest.split_at_mut(chunk_len);
-                shards_rest = tail;
-                let (outs_chunk, tail) = outs_rest.split_at_mut(chunk_len);
-                outs_rest = tail;
-                let receivers: Vec<_> = rx_rest.drain(..chunk_len).collect();
-                let push_txs = push_txs.clone();
-                let reply_txs = reply_txs.clone();
-                let barrier = &barrier;
-                let chunk_start = first_shard;
-                first_shard += chunk_len;
-                scope.spawn(move || {
-                    run_shard_worker(ShardWorker {
-                        chunk_start,
-                        shards_chunk,
-                        outs_chunk,
-                        receivers,
-                        sched,
-                        rounds,
-                        shard_count,
-                        loss,
-                        loss_seed_base,
-                        redundancy,
-                        barrier,
-                        push_txs,
-                        reply_txs,
-                    });
-                });
-            }
-        });
-        (outs, exchanges_blocked)
-    }
-
-    /// Derives the cycle's exchange schedule and its round structure,
-    /// returning `(rounds, exchanges_blocked)`. All RNG draws here run over
-    /// global directory positions — shard-count agnostic by construction —
-    /// and the fault lab's link vetoes are applied right after each peer
-    /// pick, so workers only ever see surviving exchanges.
-    fn build_schedule(&mut self) -> (usize, usize) {
-        let n = self.global_live.len();
-        let shard_count = self.config.shards;
-        let cycle = self.cycle;
-        let ShardedSimulation {
-            seeds,
-            sched,
-            sampler,
-            global_live,
-            shards,
-            injector,
-            telemetry,
-            ..
-        } = self;
-        let record = telemetry.events_enabled();
-        let mut rng = seeds.rng_for_labeled(cycle as u64, "cycle-schedule");
-
-        sched.order.clear();
-        sched.order.extend(0..n as u32);
-        sched.order.shuffle(&mut rng);
-        sched.exchanges.clear();
-        sched.next_round.clear();
-        sched.next_round.resize(n, 0);
-
-        let mut rounds = 0u32;
-        let mut exchanges_blocked = 0usize;
-        if n >= 2 {
-            sched.exchanges.reserve(n);
-            for i in 0..n {
-                let ipos = sched.order[i];
-                let directory = GlobalDirectory {
-                    live: global_live,
-                    shards,
-                };
-                let Some(peer_id) =
-                    sample_live_peer(sampler.as_mut(), &directory, ipos as usize, &mut rng)
-                else {
-                    continue;
-                };
-                let ppos = global_pos_of(shards, peer_id);
-                if veto_link(
-                    injector,
-                    sampler.as_mut(),
-                    telemetry,
-                    global_live,
-                    ipos,
-                    ppos,
-                ) {
-                    exchanges_blocked += 1;
-                    continue;
-                }
-                let round = sched.next_round[ipos as usize].max(sched.next_round[ppos as usize]);
-                sched.next_round[ipos as usize] = round + 1;
-                sched.next_round[ppos as usize] = round + 1;
-                rounds = rounds.max(round + 1);
-                if record {
-                    // The schedule index IS the global sequence number the
-                    // workers key their loss draws (and loss/completion
-                    // events) on.
-                    telemetry.exchange_begun(
-                        sched.exchanges.len() as u64,
-                        u64::from(ipos),
-                        u64::from(ppos),
-                    );
-                }
-                sched.exchanges.push(ScheduledExchange {
-                    initiator: global_live[ipos as usize],
-                    peer: peer_id,
-                    round,
-                });
-            }
-        }
-
-        // Counting sort of the exchanges into (round, initiator-shard)
-        // buckets, preserving global sequence order within each bucket.
-        let buckets = rounds as usize * shard_count;
-        sched.bucket_starts.clear();
-        sched.bucket_starts.resize(buckets + 1, 0);
-        for ex in &sched.exchanges {
-            let b = ex.round as usize * shard_count + IdLayout::shard_of(ex.initiator) as usize;
-            sched.bucket_starts[b + 1] += 1;
-        }
-        for b in 0..buckets {
-            sched.bucket_starts[b + 1] += sched.bucket_starts[b];
-        }
-        let mut cursors: Vec<u32> = sched.bucket_starts[..buckets].to_vec();
-        sched.bucket_items.clear();
-        sched.bucket_items.resize(sched.exchanges.len(), 0);
-        for (i, ex) in sched.exchanges.iter().enumerate() {
-            let b = ex.round as usize * shard_count + IdLayout::shard_of(ex.initiator) as usize;
-            sched.bucket_items[cursors[b] as usize] = i as u32;
-            cursors[b] += 1;
-        }
-        (rounds as usize, exchanges_blocked)
     }
 
     /// Leader (re-)election for the counting instances, run over the global
@@ -1664,41 +1305,301 @@ pub fn cycle_telemetry_table(
     table
 }
 
-/// The fault lab's link veto for a sampled pair of directory positions, the
-/// one veto site of both executors' schedule construction: a blocked pair is
-/// reported to the sampler (cached views tail-drop the unreachable
-/// neighbour) and recorded, and the caller gives it no sequence number.
-fn veto_link(
-    injector: &PlanInjector,
-    sampler: &mut dyn PeerSampler,
-    telemetry: &mut TelemetrySink,
-    global_live: &[NodeId],
-    ipos: u32,
-    ppos: u32,
-) -> bool {
-    let initiator = global_live[ipos as usize];
-    let peer = global_live[ppos as usize];
-    if !injector.link_blocked(initiator, peer) {
-        return false;
-    }
-    sampler.peer_failed(initiator, peer);
-    if telemetry.events_enabled() {
-        telemetry.exchange_vetoed(u64::from(ipos), u64::from(ppos));
-    }
-    true
+/// Stages 1–2 of every cycle schedule, shared by both executors: the peer
+/// picks of a block of shuffled initiators, then link vetoes and sequence
+/// numbers for the survivors.
+///
+/// Draw-stream order is the unbatched schedule's: picks are drawn in
+/// initiator order across blocks on the `cycle-schedule` stream. The uniform
+/// complete sampler's rejection loop — re-draw while the candidate is the
+/// initiator — is inlined over block-buffered words (the compare uses only
+/// the entry's high half, no memory dependence; directory picks are live by
+/// construction, so `sample_live_peer` adds nothing). Any other sampler is
+/// asked through [`sample_live_peer`] on the unbuffered stream, because the
+/// buffer reads ahead; a failed pick gets no sequence number.
+///
+/// The link veto runs *between* the block's draws and its executions, which
+/// is legal because `link_blocked` is pure and `peer_failed(initiator, _)`
+/// only touches the initiator's own sampling state — and each position
+/// initiates once per cycle, so no later pick reads what a deferred report
+/// changes.
+struct Picker<'a> {
+    global_live: &'a [NodeId],
+    /// The shuffled `position << 32 | raw NodeId` initiator entries.
+    order: &'a [u64],
+    sampler: &'a mut dyn PeerSampler,
+    injector: &'a PlanInjector,
+    telemetry: &'a mut TelemetrySink,
+    rng: StdRng,
+    words: WordBuffer,
+    uniform: bool,
+    /// Whether the fault lab can veto a link at all this run.
+    check_links: bool,
+    record: bool,
+    cand: [u32; PICK_BLOCK],
+    /// Index into `order` of the next block's first initiator.
+    start: usize,
+    next_seq: usize,
+    /// Picks vetoed by the fault lab so far this cycle.
+    blocked: usize,
 }
 
-/// Packs a node identifier's `(shard, slot)` into one word for the SoA
-/// executor's pair list: shard in the high byte, slot (20 bits) below.
-#[inline]
-fn pack_endpoint(id: NodeId) -> u32 {
-    (IdLayout::shard_of(id) << 24) | IdLayout::sharded_slot_of(id)
+impl Picker<'_> {
+    /// Picks the next block of initiators' peers and returns the surviving
+    /// exchanges in sequence order (possibly none), or `None` once every
+    /// initiator has picked.
+    fn next_block<'p>(
+        &mut self,
+        shards: &[Shard],
+        picks: &'p mut [Pick; PICK_BLOCK],
+    ) -> Option<&'p [Pick]> {
+        let n = self.global_live.len();
+        if n < 2 || self.start >= n {
+            return None;
+        }
+        let end = (self.start + PICK_BLOCK).min(n);
+        let entries = &self.order[self.start..end];
+        self.start = end;
+        let cand = &mut self.cand[..entries.len()];
+        if self.uniform {
+            let (words, rng) = (&mut self.words, &mut self.rng);
+            for (candidate, &entry) in cand.iter_mut().zip(entries) {
+                let ipos = (entry >> 32) as usize;
+                *candidate = loop {
+                    let pick = soa::index_from_word(words.next(rng), n);
+                    if pick != ipos {
+                        break pick as u32;
+                    }
+                };
+            }
+        } else {
+            let directory = GlobalDirectory {
+                live: self.global_live,
+                shards,
+            };
+            for (candidate, &entry) in cand.iter_mut().zip(entries) {
+                let ipos = (entry >> 32) as usize;
+                *candidate = sample_live_peer(&mut *self.sampler, &directory, ipos, &mut self.rng)
+                    .map_or(NO_PEER, |peer| global_pos_of(shards, peer));
+            }
+        }
+        // Touch the candidates' directory lines in their own loop.
+        let mut warm = 0u32;
+        for &candidate in cand.iter() {
+            if let Some(id) = self.global_live.get(candidate as usize) {
+                warm ^= id.as_u32();
+            }
+        }
+        std::hint::black_box(warm);
+
+        let mut survivors = 0usize;
+        let global_live = self.global_live;
+        for (&ppos, &entry) in cand.iter().zip(entries) {
+            if ppos == NO_PEER {
+                continue;
+            }
+            let ipos = (entry >> 32) as u32;
+            let initiator = NodeId::from_u32(entry as u32);
+            let peer = global_live[ppos as usize];
+            if self.check_links && self.injector.link_blocked(initiator, peer) {
+                // Cached views tail-drop the unreachable neighbour.
+                self.sampler.peer_failed(initiator, peer);
+                if self.record {
+                    self.telemetry
+                        .exchange_vetoed(u64::from(ipos), u64::from(ppos));
+                }
+                self.blocked += 1;
+                continue;
+            }
+            if self.record {
+                // The sequence number every executor keys the exchange's
+                // loss coins and outcome events on. (Vetoes and beguns of a
+                // block interleave here; the events' sort keys restore one
+                // total order after the merge.)
+                self.telemetry.exchange_begun(
+                    self.next_seq as u64,
+                    u64::from(ipos),
+                    u64::from(ppos),
+                );
+            }
+            self.next_seq += 1;
+            picks[survivors] = Pick {
+                initiator,
+                peer,
+                ipos,
+                ppos,
+            };
+            survivors += 1;
+        }
+        Some(&picks[..survivors])
+    }
 }
 
-/// Inverse of [`pack_endpoint`].
+/// Everything executing an exchange needs besides its endpoints, for one
+/// executor thread and one cycle.
+#[derive(Debug)]
+struct PairExec {
+    kind: AggregateKind,
+    /// The cycle's effective message-loss probability (computed by the
+    /// fault injector on the coordinator; constant within a cycle).
+    loss: f64,
+    /// Per-exchange loss-coin streams: exchange `seq` draws from
+    /// `seed_for_run(seq)`, whichever thread runs it.
+    loss_seeds: SeedSequence,
+    /// Whether outcomes go to the shards' flight recorders.
+    record: bool,
+    scratch: ExchangeScratch,
+}
+
+impl PairExec {
+    /// The lazily drawn loss model of exchange `seq` (see [`exchange_loss`]).
+    fn loss_of(&self, seq: u64) -> impl FnMut() -> bool {
+        let seed = if self.loss > 0.0 {
+            self.loss_seeds.seed_for_run(seq)
+        } else {
+            0
+        };
+        exchange_loss(self.loss, seed)
+    }
+
+    /// Both loss coins of exchange `seq`, drawn eagerly.
+    fn coins(&self, seq: usize) -> (bool, bool) {
+        if self.loss > 0.0 {
+            coins_from_seed(self.loss, self.loss_seeds.seed_for_run(seq as u64))
+        } else {
+            (false, false)
+        }
+    }
+
+    /// Runs exchange `seq` whole, with both endpoints' shards in `shards`
+    /// (`(shard, slot)` indices into that slice). Two hot records in the
+    /// same epoch run [`ExchangeCore::exchange_fused_raw`] on the
+    /// pre-drawn `coins` — one cache line per endpoint. Any other pair
+    /// flushes both endpoints, runs the node-path exchange (which takes its
+    /// own fused fast path when the preconditions hold — bit-identical
+    /// arithmetic either way) and resyncs both records. The outcome is
+    /// recorded in the initiator's shard.
+    #[inline(always)]
+    fn run_pair(
+        &mut self,
+        shards: &mut [Shard],
+        (shard_a, slot_a): (usize, u32),
+        (shard_b, slot_b): (usize, u32),
+        seq: usize,
+        (c1, c2): (bool, bool),
+        tally: &mut ExchangeTally,
+    ) {
+        let fused = {
+            let ra = shards[shard_a].hot.hot(slot_a);
+            let rb = shards[shard_b].hot.hot(slot_b);
+            matches!((ra, rb), (Some(x), Some(y)) if x.key == y.key)
+        };
+        if fused {
+            let (initiator, peer) = if shard_a == shard_b {
+                shards[shard_a].hot.pair_mut(slot_a, slot_b)
+            } else {
+                let (sa, sb) = shard_pair_mut(shards, shard_a, shard_b);
+                (
+                    &mut sa.hot.slots[slot_a as usize],
+                    &mut sb.hot.slots[slot_b as usize],
+                )
+            };
+            let mut draw = 0u8;
+            let mut lost = move || {
+                draw += 1;
+                if draw == 1 {
+                    c1
+                } else {
+                    c2
+                }
+            };
+            let lost_before = tally.messages_lost;
+            ExchangeCore::exchange_fused_raw(
+                self.kind,
+                &mut initiator.state,
+                &mut initiator.exchanges,
+                &mut peer.state,
+                &mut peer.exchanges,
+                &mut lost,
+                tally,
+            );
+            if self.record {
+                // The fused path always begins (both endpoints hot ⇒ active
+                // in the same epoch).
+                record_exchange_outcome(
+                    &mut shards[shard_a].recorder,
+                    seq as u64,
+                    true,
+                    tally.messages_lost - lost_before,
+                );
+            }
+            return;
+        }
+        shards[shard_a].flush_hot_slot(slot_a);
+        shards[shard_b].flush_hot_slot(slot_b);
+        let (initiator, peer) = if shard_a == shard_b {
+            shards[shard_a].arena.pair_mut(slot_a, slot_b)
+        } else {
+            let (sa, sb) = shard_pair_mut(shards, shard_a, shard_b);
+            (
+                sa.arena.node_at_slot_mut(slot_a),
+                sb.arena.node_at_slot_mut(slot_b),
+            )
+        };
+        let (Some(initiator), Some(peer)) = (initiator, peer) else {
+            return;
+        };
+        let mut lost = self.loss_of(seq as u64);
+        let exch_before = tally.exchanges;
+        let lost_before = tally.messages_lost;
+        ExchangeCore::exchange(initiator, peer, &mut self.scratch, &mut lost, tally);
+        if self.record {
+            record_exchange_outcome(
+                &mut shards[shard_a].recorder,
+                seq as u64,
+                tally.exchanges > exch_before,
+                tally.messages_lost - lost_before,
+            );
+        }
+        shards[shard_a].resync_slot(slot_a, self.kind);
+        shards[shard_b].resync_slot(slot_b, self.kind);
+    }
+}
+
+/// Both loss coins of one exchange from its private stream. Drawing the
+/// second eagerly is invisible when only the first is consumed.
+fn coins_from_seed(loss: f64, seed: u64) -> (bool, bool) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (rng.gen_bool(loss), rng.gen_bool(loss))
+}
+
+/// Loads the hot record of every endpoint in `ids` that lives in `shards`
+/// (whose first shard is `first_shard`) in one tight loop, so the misses
+/// overlap before an execution loop needs the lines. The loaded values are
+/// discarded, so later flush/resync writes can never be made stale.
 #[inline]
-fn unpack_endpoint(packed: u32) -> (usize, u32) {
-    ((packed >> 24) as usize, packed & 0x00ff_ffff)
+fn touch_records(shards: &[Shard], first_shard: usize, ids: impl Iterator<Item = NodeId>) {
+    let mut warm = 0u32;
+    for id in ids {
+        let (shard, slot) = endpoint(id);
+        let record = shard
+            .checked_sub(first_shard)
+            .and_then(|local| shards.get(local))
+            .and_then(|shard| shard.hot.slots.get(slot as usize));
+        if let Some(record) = record {
+            warm ^= record.key;
+        }
+    }
+    std::hint::black_box(warm);
+}
+
+/// An identifier's `(shard, slot)`.
+#[inline]
+fn endpoint(id: NodeId) -> (usize, u32) {
+    (
+        IdLayout::shard_of(id) as usize,
+        IdLayout::sharded_slot_of(id),
+    )
 }
 
 /// Disjoint mutable borrows of two distinct shards.
@@ -1728,24 +1629,7 @@ fn epoch_size_estimate(
     }
 }
 
-/// End-of-cycle phase of the threaded executor for one shard: the per-node
-/// step on every live node in live order, streamed into per-shard stats.
-fn end_of_cycle_pass(
-    shard: &mut Shard,
-    tally: ExchangeTally,
-    redundancy: Option<MergePolicy>,
-) -> ShardCycleOut {
-    let mut out = ShardCycleOut::new(tally);
-    for pos in 0..shard.arena.len() {
-        let slot = shard.arena.live_slots()[pos];
-        if let Some(node) = shard.arena.node_at_slot_mut(slot) {
-            out.end_node_cycle(node, redundancy);
-        }
-    }
-    out
-}
-
-/// End-of-cycle phase of the single-worker executor: hot nodes tick,
+/// End-of-cycle phase of one shard, for every worker count: hot nodes tick,
 /// restart and report entirely inside the dense mirror; cold nodes take the
 /// per-node step ([`ShardCycleOut::end_node_cycle`]) and are re-examined for
 /// promotion afterwards (joining nodes whose epoch just started, ex-leaders
@@ -1759,7 +1643,7 @@ fn end_of_cycle_pass(
 ///   instance — the size machinery is cold-path by construction);
 /// * the post-cycle estimate is pushed after the restart, exactly as
 ///   `node.estimate()` reads post-`end_cycle` state.
-fn end_of_cycle_pass_soa(
+fn end_of_cycle_pass(
     shard: &mut Shard,
     tally: ExchangeTally,
     kind: AggregateKind,
@@ -1813,36 +1697,6 @@ fn end_of_cycle_pass_soa(
     out
 }
 
-/// A shard's mailbox receivers: push batches in, reply batches back.
-type ShardReceivers = (
-    crossbeam::channel::Receiver<Vec<CrossPush>>,
-    crossbeam::channel::Receiver<Vec<CrossReply>>,
-);
-
-/// Everything one worker thread needs for one cycle: a contiguous chunk of
-/// shards (with their output slots and mailbox receivers) plus the shared
-/// schedule and channel fabric.
-struct ShardWorker<'a> {
-    chunk_start: usize,
-    shards_chunk: &'a mut [Shard],
-    outs_chunk: &'a mut [ShardCycleOut],
-    receivers: Vec<ShardReceivers>,
-    sched: &'a ScheduleBuffers,
-    rounds: usize,
-    shard_count: usize,
-    /// The cycle's effective message-loss probability (coordinator-computed
-    /// by the fault injector; constant within a cycle).
-    loss: f64,
-    loss_seed_base: u64,
-    /// Merge policy of the redundant-instance defense, `None` for the
-    /// undefended estimator (coordinator-computed; workers must not read
-    /// engine state).
-    redundancy: Option<MergePolicy>,
-    barrier: &'a Barrier,
-    push_txs: Vec<crossbeam::channel::Sender<Vec<CrossPush>>>,
-    reply_txs: Vec<crossbeam::channel::Sender<Vec<CrossReply>>>,
-}
-
 /// Records exchange `seq`'s outcome — per-message loss events, or a single
 /// completion event when every message survived — from the [`ExchangeTally`]
 /// deltas around the `ExchangeCore` call. The deltas are a pure function of
@@ -1861,183 +1715,6 @@ fn record_exchange_outcome(recorder: &mut FlightRecorder, seq: u64, began: bool,
         for _ in 0..lost {
             recorder.record(seq, EventKind::MessageLost);
         }
-    }
-}
-
-fn run_shard_worker(ctx: ShardWorker<'_>) {
-    let ShardWorker {
-        chunk_start,
-        shards_chunk,
-        outs_chunk,
-        receivers,
-        sched,
-        rounds,
-        shard_count,
-        loss,
-        loss_seed_base,
-        redundancy,
-        barrier,
-        push_txs,
-        reply_txs,
-    } = ctx;
-    let lossy = loss > 0.0;
-    let loss_seeds = SeedSequence::new(loss_seed_base);
-    let seed_of = |seq: u32| {
-        if lossy {
-            loss_seeds.seed_for_run(seq as u64)
-        } else {
-            0
-        }
-    };
-
-    let mut scratch = ExchangeScratch::new();
-    let mut tallies = vec![ExchangeTally::default(); shards_chunk.len()];
-    let mut begin_buf: Vec<GossipMessage> = Vec::new();
-    let mut msg_buf: Vec<GossipMessage> = Vec::new();
-    let mut reply_buf: Vec<GossipMessage> = Vec::new();
-    let mut push_out: Vec<Vec<CrossPush>> = (0..shard_count).map(|_| Vec::new()).collect();
-    let mut reply_out: Vec<Vec<CrossReply>> = (0..shard_count).map(|_| Vec::new()).collect();
-    let mut in_pushes: Vec<CrossPush> = Vec::new();
-    let mut in_replies: Vec<CrossReply> = Vec::new();
-
-    for round in 0..rounds {
-        // Phase A: local exchanges run fused; cross-shard exchanges begin
-        // and batch their pushes into the peer shard's mailbox. A pair whose
-        // endpoints live in two shards of *this* worker's chunk still goes
-        // through the mailbox, keeping the protocol uniform.
-        for (local, shard) in shards_chunk.iter_mut().enumerate() {
-            let me = chunk_start + local;
-            let tally = &mut tallies[local];
-            for &ei in sched.bucket(round, me, shard_count) {
-                let ex = sched.exchanges[ei as usize];
-                let initiator_slot = IdLayout::sharded_slot_of(ex.initiator);
-                let peer_shard = IdLayout::shard_of(ex.peer) as usize;
-                if peer_shard == me {
-                    let peer_slot = IdLayout::sharded_slot_of(ex.peer);
-                    let (Some(initiator), Some(peer)) =
-                        shard.arena.pair_mut(initiator_slot, peer_slot)
-                    else {
-                        continue;
-                    };
-                    let mut lost = exchange_loss(loss, seed_of(ei));
-                    let exch_before = tally.exchanges;
-                    let lost_before = tally.messages_lost;
-                    ExchangeCore::exchange(initiator, peer, &mut scratch, &mut lost, tally);
-                    record_exchange_outcome(
-                        &mut shard.recorder,
-                        u64::from(ei),
-                        tally.exchanges > exch_before,
-                        tally.messages_lost - lost_before,
-                    );
-                } else {
-                    let Some(initiator) = shard.arena.node_at_slot_mut(initiator_slot) else {
-                        continue;
-                    };
-                    if ExchangeCore::begin(initiator, ex.peer, &mut begin_buf) {
-                        tally.exchanges += 1;
-                        push_out[peer_shard].push(CrossPush {
-                            seq: ei,
-                            initiator: ex.initiator,
-                            peer_slot: IdLayout::sharded_slot_of(ex.peer),
-                            first: begin_buf[0],
-                            rest: begin_buf[1..].to_vec(),
-                        });
-                    }
-                }
-            }
-        }
-        for (dst, buf) in push_out.iter_mut().enumerate() {
-            if !buf.is_empty() {
-                push_txs[dst]
-                    .send(std::mem::take(buf))
-                    // lint-allow(unwrap): receivers outlive the cycle's thread scope by construction
-                    .expect("peer shard receiver lives for the whole cycle");
-            }
-        }
-        barrier.wait();
-
-        // Phase B: drain each owned shard's mailbox (complete after the
-        // barrier), flatten the batches and restore the fixed merge order —
-        // a total order by global sequence number — then absorb pushes and
-        // batch replies back. (Within a round node-disjointness already
-        // makes the node state order-independent; the total order keeps the
-        // execution auditable and future-proofs any per-shard state
-        // consulted during the merge.)
-        for (local, shard) in shards_chunk.iter_mut().enumerate() {
-            let tally = &mut tallies[local];
-            in_pushes.clear();
-            while let Ok(batch) = receivers[local].0.try_recv() {
-                in_pushes.extend(batch);
-            }
-            in_pushes.sort_unstable_by_key(|cross| cross.seq);
-            for cross in &in_pushes {
-                let Some(peer) = shard.arena.node_at_slot_mut(cross.peer_slot) else {
-                    continue;
-                };
-                msg_buf.clear();
-                msg_buf.push(cross.first);
-                msg_buf.extend_from_slice(&cross.rest);
-                reply_buf.clear();
-                let mut lost = exchange_loss(loss, seed_of(cross.seq));
-                let lost_before = tally.messages_lost;
-                ExchangeCore::respond(peer, &msg_buf, &mut reply_buf, &mut lost, tally);
-                // Every loss draw of a cross-shard exchange happens inside
-                // `respond` (push coins, then reply coins); the initiator's
-                // `complete` draws none. `began` is unconditionally true —
-                // the push batch only exists because `begin` succeeded.
-                record_exchange_outcome(
-                    &mut shard.recorder,
-                    u64::from(cross.seq),
-                    true,
-                    tally.messages_lost - lost_before,
-                );
-                if !reply_buf.is_empty() {
-                    let initiator_shard = IdLayout::shard_of(cross.initiator) as usize;
-                    reply_out[initiator_shard].push(CrossReply {
-                        seq: cross.seq,
-                        initiator_slot: IdLayout::sharded_slot_of(cross.initiator),
-                        first: reply_buf[0],
-                        rest: reply_buf[1..].to_vec(),
-                    });
-                }
-            }
-        }
-        for (dst, buf) in reply_out.iter_mut().enumerate() {
-            if !buf.is_empty() {
-                reply_txs[dst]
-                    .send(std::mem::take(buf))
-                    // lint-allow(unwrap): receivers outlive the cycle's thread scope by construction
-                    .expect("initiator shard receiver lives for the whole cycle");
-            }
-        }
-        barrier.wait();
-
-        // Phase C: initiators absorb the surviving replies, in merge order.
-        for (local, shard) in shards_chunk.iter_mut().enumerate() {
-            in_replies.clear();
-            while let Ok(batch) = receivers[local].1.try_recv() {
-                in_replies.extend(batch);
-            }
-            in_replies.sort_unstable_by_key(|cross| cross.seq);
-            for cross in &in_replies {
-                let Some(initiator) = shard.arena.node_at_slot_mut(cross.initiator_slot) else {
-                    continue;
-                };
-                msg_buf.clear();
-                msg_buf.push(cross.first);
-                msg_buf.extend_from_slice(&cross.rest);
-                ExchangeCore::complete(initiator, &msg_buf);
-            }
-        }
-        barrier.wait();
-    }
-
-    for ((shard, out), tally) in shards_chunk
-        .iter_mut()
-        .zip(outs_chunk.iter_mut())
-        .zip(tallies)
-    {
-        *out = end_of_cycle_pass(shard, tally, redundancy);
     }
 }
 

@@ -268,7 +268,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if args.sweep_workers {
         // Strong-scaling curve: the same workload pinned to 1/2/4/8 worker
         // threads. Worker count never changes results — only wall clock —
-        // so every sweep point must land on bit-identical statistics.
+        // so every sweep point must reproduce every cycle's summary bit for
+        // bit.
         println!("worker sweep at {nodes} nodes, {shards} shards:");
         for requested in [1usize, 2, 4, 8] {
             let sweep = run_engine(base, &values, seed, shards, Some(requested), cycles)?;
@@ -278,12 +279,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 sweep.workers,
                 sweep.summaries,
             );
-            let w_last = w_summaries.last().expect("at least one cycle");
-            assert_eq!(
-                w_last.estimate_variance.to_bits(),
-                last.estimate_variance.to_bits(),
-                "worker count {requested} changed the trajectory"
-            );
+            assert_eq!(w_summaries.len(), summaries.len());
+            for (got, want) in w_summaries.iter().zip(&summaries) {
+                assert_eq!(
+                    got, want,
+                    "worker count {requested} changed cycle {}",
+                    want.cycle
+                );
+            }
             let rate = cycles as f64 / w_elapsed;
             println!(
                 "  workers {requested} (effective {w_effective}): {w_elapsed:.2} s \
@@ -331,12 +334,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // The gate compares the freshly measured runs only — merged-in
         // history would trivially pass against itself.
         let failures = bench::regressions(&committed, &report, tolerance);
-        for (label, was, now) in &failures {
-            eprintln!(
-                "REGRESSION {label}: {now:.2} cycles/s vs committed {was:.2} \
-                 (tolerance {:.0}%)",
-                tolerance * 100.0
-            );
+        for failure in &failures {
+            eprintln!("REGRESSION {failure} (tolerance {:.0}%)", tolerance * 100.0);
         }
         assert!(
             failures.is_empty(),

@@ -225,7 +225,7 @@ fn sharded_runs_are_bit_identical_for_identical_seeds() {
 
 /// Worker threads are an execution resource, not a semantic one: for a fixed
 /// shard count, the single-worker executor (fused exchanges, no
-/// mailboxes) and the multi-worker round/mailbox executor must produce
+/// lanes) and the multi-worker round/lane executor must produce
 /// bit-identical summaries — including when workers own several shards each.
 #[test]
 fn worker_count_does_not_change_results_at_all() {
@@ -310,7 +310,7 @@ fn soa_fused_executor_reproduces_the_golden_across_shard_counts() {
     }
 }
 
-/// The SoA executor and the threaded round/mailbox executor stay
+/// The SoA executor and the threaded round/lane executor stay
 /// bit-identical on the *hard* configuration too: leader-led size
 /// estimation (multi-instance epochs, cold-path led instances), message
 /// loss and churn all at once, across worker counts at a fixed shard count.
@@ -358,6 +358,64 @@ fn soa_executor_matches_threaded_executor_with_leaders_loss_and_churn() {
         );
         assert_eq!(bits, reference_bits);
         assert_eq!(size.map(f64::to_bits), reference_size.map(f64::to_bits));
+    }
+}
+
+/// The redundant-instance defense runs `k` led counting instances every
+/// epoch, so almost every node is cold and multi-instance exchanges cross
+/// workers as several pushes per sequence number. Worker count must still
+/// change nothing: summaries, estimate bits and the pooled size estimate of
+/// the median-of-3 defense under churn, with and without message loss.
+#[test]
+fn redundant_instances_are_worker_count_invariant() {
+    for loss in [0.0, 0.1] {
+        let run = |workers: usize| {
+            let config = ShardedConfig {
+                base: SimulationConfig {
+                    protocol: ProtocolConfig::builder()
+                        .cycles_per_epoch(8)
+                        .late_join(aggregate_core::config::LateJoinPolicy::FixedState(0.0))
+                        .build()
+                        .unwrap(),
+                    conditions: NetworkConditions::with_message_loss(loss),
+                    leader_policy: Some(LeaderPolicy::Fixed { probability: 0.02 }),
+                    sampler: SamplerConfig::UniformComplete,
+                    redundancy: Some(RedundancyConfig::median_of(3)),
+                },
+                shards: 4,
+                workers: Some(workers),
+            };
+            let values: Vec<f64> = (0..240).map(|i| (i % 31) as f64).collect();
+            let mut sim = ShardedSimulation::new(config, &values, 515).unwrap();
+            let mut summaries = Vec::new();
+            for cycle in 0..25 {
+                for i in 0..4 {
+                    sim.add_node((cycle * 4 + i) as f64);
+                }
+                sim.remove_random_nodes(4);
+                summaries.push(sim.run_cycle());
+            }
+            let bits: Vec<u64> = sim.estimates().iter().map(|v| v.to_bits()).collect();
+            (summaries, bits, sim.last_size_estimate())
+        };
+        let (reference, reference_bits, reference_size) = run(1);
+        assert!(
+            reference_size.is_some(),
+            "loss {loss}: a defended COUNT epoch must have completed"
+        );
+        for workers in [2, 3, 4] {
+            let (summaries, bits, size) = run(workers);
+            assert_eq!(
+                summaries, reference,
+                "loss {loss}: {workers}-worker defended run must match 1 worker"
+            );
+            assert_eq!(bits, reference_bits, "loss {loss}, {workers} workers");
+            assert_eq!(
+                size.map(f64::to_bits),
+                reference_size.map(f64::to_bits),
+                "loss {loss}, {workers} workers"
+            );
+        }
     }
 }
 
@@ -1069,7 +1127,7 @@ fn variance_experiments_are_reproducible() {
 /// Telemetry tentpole pin, part 1: enabling the full flight recorder +
 /// watchdog changes not a single protocol bit. The traced sharded run must
 /// reproduce the untraced estimates exactly, at every shard count and on
-/// every executor (single-worker SoA, threaded round/mailbox) — and the merged
+/// every executor (single-worker SoA, threaded round/lane) — and the merged
 /// JSONL trace must itself be **byte-identical** across shard and worker
 /// counts, because every event is keyed by shard-count-invariant global
 /// directory positions or global sequence numbers and merged through the
